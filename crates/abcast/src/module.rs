@@ -284,13 +284,13 @@ impl AbcastModule {
         self.next_propose - self.next_decide
     }
 
-    /// The wire form of a full-message diffusion (offloading strategies
-    /// wrap it in the [`DissemMsg`] envelope).
-    fn diffuse_bytes(&self, msg: &AppMsg) -> Bytes {
+    /// Diffuses a full message to everyone (offloading strategies wrap
+    /// it in the [`DissemMsg`] envelope).
+    fn diffuse(&self, ctx: &mut FrameworkCtx<'_, '_>, msg: &AppMsg) {
         if self.offloads() {
-            encode(&DissemMsg::Diffuse(msg.clone()))
+            ctx.broadcast_net("abcast.diffuse", &DissemMsg::Diffuse(msg.clone()));
         } else {
-            encode(msg)
+            ctx.broadcast_net("abcast.diffuse", msg);
         }
     }
 
@@ -369,15 +369,13 @@ impl AbcastModule {
         if hops.repaired {
             ctx.bump("abcast.ring_repairs", 1);
         }
-        let bytes = encode(&DissemMsg::Payload {
+        ctx.bump("abcast.ring_payload_forwards", hops.next.len() as u64);
+        let msg = DissemMsg::Payload {
             vid,
             holders,
             batch: batch.clone(),
-        });
-        for dst in hops.next {
-            ctx.bump("abcast.ring_payload_forwards", 1);
-            ctx.send_net(dst, "abcast.payload", bytes.clone());
-        }
+        };
+        ctx.multicast_net(hops.next, "abcast.payload", &msg);
     }
 
     /// Cuts staged own messages into a payload batch whenever an
@@ -436,7 +434,7 @@ impl AbcastModule {
                 _ => false,
             };
             if newly_safe {
-                ctx.broadcast_net("abcast.diffuse", self.diffuse_bytes(&d));
+                self.diffuse(ctx, &d);
                 self.own_diffused.insert(d.id, ctx.now());
             }
         }
@@ -491,10 +489,10 @@ impl AbcastModule {
             ctx.send_net(
                 vid.origin,
                 "abcast.payload_ack",
-                encode(&DissemMsg::Ack {
+                &DissemMsg::Ack {
                     vid,
                     holders: merged,
-                }),
+                },
             );
         }
         if merged.count_ones() >= maj {
@@ -525,7 +523,7 @@ impl AbcastModule {
         let dst = candidates[*attempts as usize % candidates.len()];
         *attempts += 1;
         ctx.bump("abcast.payload_pulls", 1);
-        ctx.send_net(dst, "abcast.payload_pull", encode(&DissemMsg::Pull { vid }));
+        ctx.send_net(dst, "abcast.payload_pull", &DissemMsg::Pull { vid });
     }
 
     /// Re-forwards every held undelivered payload along the (possibly
@@ -677,7 +675,7 @@ impl Microprotocol for AbcastModule {
                 if direct {
                     // Diffuse to everyone — the modular stack cannot
                     // target the coordinator (consensus is a black box).
-                    ctx.broadcast_net("abcast.diffuse", self.diffuse_bytes(msg));
+                    self.diffuse(ctx, msg);
                     if self.delivered.is_new(msg.id) {
                         self.pending.insert(msg.id, msg.clone());
                         self.own_diffused.insert(msg.id, ctx.now());
@@ -861,7 +859,7 @@ impl Microprotocol for AbcastModule {
                         holders,
                         batch: batch.clone(),
                     };
-                    ctx.send_net(from, "abcast.payload_push", encode(&reply));
+                    ctx.send_net(from, "abcast.payload_push", &reply);
                 }
             }
         }
@@ -897,8 +895,7 @@ impl Microprotocol for AbcastModule {
                 for id in overdue {
                     if let Some(msg) = self.pending.get(&id) {
                         ctx.bump("abcast.retransmits", 1);
-                        let bytes = self.diffuse_bytes(msg);
-                        ctx.broadcast_net("abcast.diffuse", bytes);
+                        self.diffuse(ctx, msg);
                         self.own_diffused.insert(id, now);
                     } else {
                         self.own_diffused.remove(&id);
@@ -929,12 +926,6 @@ impl Microprotocol for AbcastModule {
                             continue;
                         };
                         let (holders, batch) = (e.holders, e.batch.clone());
-                        let push = encode(&DissemMsg::Push {
-                            vid,
-                            holders,
-                            batch: batch.clone(),
-                        });
-                        let mut pushed = false;
                         let targets: Vec<ProcessId> = self
                             .members
                             .iter()
@@ -945,16 +936,19 @@ impl Microprotocol for AbcastModule {
                                     && !self.suspected.contains(m)
                             })
                             .collect();
-                        for dst in targets {
-                            ctx.bump("abcast.retransmits", 1);
-                            ctx.send_net(dst, "abcast.payload_push", push.clone());
-                            pushed = true;
-                        }
-                        if !pushed {
+                        if targets.is_empty() {
                             // Everyone left is suspected: fall back to
                             // the (repair-routed) topology forward.
                             ctx.bump("abcast.retransmits", 1);
                             self.send_payload(ctx, vid, holders, &batch);
+                        } else {
+                            ctx.bump("abcast.retransmits", targets.len() as u64);
+                            let push = DissemMsg::Push {
+                                vid,
+                                holders,
+                                batch,
+                            };
+                            ctx.multicast_net(targets, "abcast.payload_push", &push);
                         }
                         if let Some(op) = self.own_payloads.get_mut(&seq) {
                             op.last_sent = now;

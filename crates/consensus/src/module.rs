@@ -662,7 +662,7 @@ impl ConsensusModule {
                 ctx.bump("consensus.gap_requests", 1);
                 ctx.trace_span("consensus", instance, "gap_pull", u64::from(from.0));
                 let msg = ConsensusMsg::DecisionRequest { instance };
-                ctx.send_net(from, "consensus.decision_request", encode(&msg));
+                ctx.send_net(from, "consensus.decision_request", &msg);
             }
         }
     }
@@ -762,7 +762,7 @@ impl ConsensusModule {
             round,
             value,
         };
-        ctx.broadcast_net("consensus.proposal", encode(&msg));
+        ctx.broadcast_net("consensus.proposal", &msg);
         self.try_conclude(ctx, instance);
     }
 
@@ -816,7 +816,7 @@ impl ConsensusModule {
                 value: estimate,
                 ts,
             };
-            ctx.send_net(coord, "consensus.estimate", encode(&msg));
+            ctx.send_net(coord, "consensus.estimate", &msg);
         }
     }
 
@@ -860,7 +860,7 @@ impl ConsensusModule {
                 round: 0,
                 value: v,
             };
-            ctx.broadcast_net("consensus.proposal", encode(&msg));
+            ctx.broadcast_net("consensus.proposal", &msg);
             self.try_conclude(ctx, instance);
         } else if members[inst.round as usize % members.len()] == me {
             // We are (now) the coordinator of a later round and were only
@@ -894,7 +894,7 @@ impl ConsensusModule {
                     instance,
                     value: v.clone(),
                 };
-                ctx.send_net(from, "consensus.decision_full", encode(&msg));
+                ctx.send_net(from, "consensus.decision_full", &msg);
             }
             return;
         }
@@ -921,7 +921,7 @@ impl ConsensusModule {
             self.persist_vote(ctx, instance, round, round + 1, &value);
             ctx.trace_span("consensus", instance, "voted", u64::from(round));
             let ack = ConsensusMsg::Ack { instance, round };
-            ctx.send_net(from, "consensus.ack", encode(&ack));
+            ctx.send_net(from, "consensus.ack", &ack);
         } else {
             // The config fence: a learner — or a process whose replay
             // has not yet determined the membership at `instance` —
@@ -949,7 +949,7 @@ impl ConsensusModule {
                     instance,
                     value: v.clone(),
                 };
-                ctx.send_net(from, "consensus.decision_full", encode(&msg));
+                ctx.send_net(from, "consensus.decision_full", &msg);
             }
             return;
         }
@@ -1036,7 +1036,7 @@ impl ConsensusModule {
                     instance: notice.instance,
                 };
                 if origin != ctx.pid() {
-                    ctx.send_net(origin, "consensus.decision_request", encode(&msg));
+                    ctx.send_net(origin, "consensus.decision_request", &msg);
                 }
             }
         }
@@ -1050,7 +1050,7 @@ impl ConsensusModule {
         let msg = ConsensusMsg::JoinRequest {
             watermark: self.replayed.watermark(),
         };
-        ctx.broadcast_net("consensus.join_request", encode(&msg));
+        ctx.broadcast_net("consensus.join_request", &msg);
     }
 
     /// Serves a peer's rejoin announcement. A gap the decision log
@@ -1088,7 +1088,7 @@ impl ConsensusModule {
                 values,
                 frontier,
             };
-            ctx.send_net(from, "consensus.state_transfer", encode(&msg));
+            ctx.send_net(from, "consensus.state_transfer", &msg);
             return;
         }
         if self
@@ -1132,7 +1132,7 @@ impl ConsensusModule {
             chunk,
             frontier: self.replayed.watermark(),
         };
-        ctx.send_net(from, "consensus.snapshot_transfer", encode(&msg));
+        ctx.send_net(from, "consensus.snapshot_transfer", &msg);
     }
 
     /// Receiver side: absorbs one snapshot chunk through the shared
@@ -1172,7 +1172,7 @@ impl ConsensusModule {
                     last_included,
                     offset,
                 };
-                ctx.send_net(from, "consensus.snapshot_pull", encode(&msg));
+                ctx.send_net(from, "consensus.snapshot_pull", &msg);
             }
             ChunkOutcome::Complete(snap) => {
                 self.install_snapshot(ctx, *snap);
@@ -1181,7 +1181,7 @@ impl ConsensusModule {
                 let msg = ConsensusMsg::JoinRequest {
                     watermark: self.replayed.watermark(),
                 };
-                ctx.send_net(from, "consensus.join_request", encode(&msg));
+                ctx.send_net(from, "consensus.join_request", &msg);
             }
             ChunkOutcome::Ignored => {}
             ChunkOutcome::Corrupt => ctx.bump("consensus.snapshot_garbage", 1),
@@ -1239,7 +1239,7 @@ impl ConsensusModule {
             if self.gap_limiter.allow(from, now, VDur::millis(5)) {
                 self.last_join = now;
                 let msg = ConsensusMsg::JoinRequest { watermark: mine };
-                ctx.send_net(from, "consensus.join_request", encode(&msg));
+                ctx.send_net(from, "consensus.join_request", &msg);
             }
         } else if self.rejoining && mine >= self.decided_log.watermark() {
             // Replay reached both the advertised frontier and our own
@@ -1282,7 +1282,7 @@ impl ConsensusModule {
                 inst.round_entered = now;
                 let msg = ConsensusMsg::DecisionRequest { instance };
                 ctx.bump("consensus.request_retries", 1);
-                ctx.broadcast_net("consensus.decision_request", encode(&msg));
+                ctx.broadcast_net("consensus.decision_request", &msg);
             } else {
                 ctx.bump("consensus.progress_rotations", 1);
                 self.advance_round(ctx, instance);
@@ -1391,7 +1391,7 @@ impl Microprotocol for ConsensusModule {
                         instance,
                         value: v.clone(),
                     };
-                    ctx.send_net(from, "consensus.decision_full", encode(&msg));
+                    ctx.send_net(from, "consensus.decision_full", &msg);
                 } else if self
                     .snapshot
                     .as_ref()

@@ -367,6 +367,7 @@ mod tests {
         ];
         for m in msgs {
             let bytes = encode(&m);
+            assert_eq!(bytes.len(), m.encoded_len(), "{m:?}");
             assert_eq!(decode::<ConsensusMsg>(bytes).unwrap(), m);
         }
     }
@@ -386,6 +387,7 @@ mod tests {
             },
         ] {
             let bytes = encode(&n);
+            assert_eq!(bytes.len(), n.encoded_len());
             assert_eq!(decode::<DecisionNotice>(bytes).unwrap(), n);
         }
     }
@@ -419,6 +421,7 @@ mod tests {
             value: batch(),
         };
         let bytes = encode(&rec);
+        assert_eq!(bytes.len(), rec.encoded_len());
         assert_eq!(decode::<VoteRecord>(bytes).unwrap(), rec);
     }
 

@@ -2,8 +2,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use bytes::{BufMut, Bytes, BytesMut};
-use fortika_net::wire::WireReader;
+use bytes::Bytes;
+use fortika_net::wire::{Wire, WireReader, WireWriter};
 use fortika_net::{Admission, AppRequest, MsgId, Node, NodeCtx, ProcessId, TimerId};
 use fortika_sim::{VDur, VTime};
 
@@ -97,22 +97,32 @@ impl FrameworkCtx<'_, '_> {
         self.bus.push_back(ev);
     }
 
-    /// Sends a message from this module to its peer module at `dst`.
+    /// Sends `msg` from this module to its peer module at `dst`.
     ///
-    /// The framework prepends the 2-byte module id; `kind` tags the
-    /// message for traffic accounting.
-    pub fn send_net(&mut self, dst: ProcessId, kind: &'static str, payload: Bytes) {
-        self.node
-            .send(dst, kind, envelope(self.module_id, &payload));
+    /// The framework writes the 2-byte module id and the message into
+    /// one exact-size buffer; `kind` tags the message for traffic
+    /// accounting.
+    pub fn send_net(&mut self, dst: ProcessId, kind: &'static str, msg: &impl Wire) {
+        self.node.send(dst, kind, frame(self.module_id, msg));
     }
 
-    /// Sends the same payload to every other process (n−1 unicasts).
-    pub fn broadcast_net(&mut self, kind: &'static str, payload: Bytes) {
-        let framed = envelope(self.module_id, &payload);
-        for dst in ProcessId::all(self.n()) {
-            if dst != self.pid() {
-                self.node.send(dst, kind, framed.clone());
-            }
+    /// Sends `msg` to every other process (n−1 unicasts, in pid order).
+    pub fn broadcast_net(&mut self, kind: &'static str, msg: &impl Wire) {
+        let me = self.pid();
+        self.multicast_net(ProcessId::all(self.n()).filter(|&p| p != me), kind, msg);
+    }
+
+    /// Sends `msg` to each of `dsts` in order; every copy shares one
+    /// framed buffer.
+    pub fn multicast_net(
+        &mut self,
+        dsts: impl IntoIterator<Item = ProcessId>,
+        kind: &'static str,
+        msg: &impl Wire,
+    ) {
+        let framed = frame(self.module_id, msg);
+        for dst in dsts {
+            self.node.send(dst, kind, framed.clone());
         }
     }
 
@@ -210,11 +220,12 @@ impl FrameworkCtx<'_, '_> {
     }
 }
 
-fn envelope(module_id: ModuleId, payload: &Bytes) -> Bytes {
-    let mut buf = BytesMut::with_capacity(2 + payload.len());
-    buf.put_u16_le(module_id);
-    buf.extend_from_slice(payload);
-    buf.freeze()
+/// The framed wire form of a module message: module id, then `msg`.
+fn frame(module_id: ModuleId, msg: &impl Wire) -> Bytes {
+    let mut w = WireWriter::with_capacity(2 + msg.encoded_len());
+    w.put_u16(module_id);
+    msg.encode(&mut w);
+    w.finish()
 }
 
 /// A stack of microprotocols composed on one process.
@@ -419,7 +430,7 @@ mod tests {
         }
         fn on_event(&mut self, ctx: &mut FrameworkCtx<'_, '_>, ev: &Event) {
             if let Event::AbcastRequest(m) = ev {
-                ctx.broadcast_net("bottom.fwd", m.payload.clone());
+                ctx.broadcast_net("bottom.fwd", &m.payload);
                 ctx.raise(Event::Adelivered(vec![m.id]));
             }
         }
@@ -484,7 +495,7 @@ mod tests {
             fn on_start(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
                 if ctx.pid() == ProcessId(0) {
                     // Send to a module id that does not exist at the peer.
-                    ctx.send_net(ProcessId(1), "rogue.msg", Bytes::from_static(b"?"));
+                    ctx.send_net(ProcessId(1), "rogue.msg", &b'?');
                 }
             }
         }

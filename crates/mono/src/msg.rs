@@ -461,8 +461,45 @@ mod tests {
         ];
         for v in variants {
             let bytes = encode(&v);
+            assert_eq!(bytes.len(), v.encoded_len(), "variant {v:?}");
             assert_eq!(decode::<MonoMsg>(bytes).unwrap(), v, "variant {v:?}");
         }
+    }
+
+    #[test]
+    fn parts_and_vote_record_round_trip_at_their_encoded_len() {
+        for d in [
+            Decision {
+                instance: 5,
+                round: 0,
+                full: None,
+            },
+            Decision {
+                instance: 6,
+                round: 2,
+                full: Some(batch()),
+            },
+        ] {
+            let bytes = encode(&d);
+            assert_eq!(bytes.len(), d.encoded_len());
+            assert_eq!(decode::<Decision>(bytes).unwrap(), d);
+        }
+        let p = Proposal {
+            instance: 7,
+            round: 1,
+            value: batch(),
+        };
+        let bytes = encode(&p);
+        assert_eq!(bytes.len(), p.encoded_len());
+        assert_eq!(decode::<Proposal>(bytes).unwrap(), p);
+        let rec = VoteRecord {
+            round: 3,
+            ts: 4,
+            value: batch(),
+        };
+        let bytes = encode(&rec);
+        assert_eq!(bytes.len(), rec.encoded_len());
+        assert_eq!(decode::<VoteRecord>(bytes).unwrap(), rec);
     }
 
     #[test]

@@ -616,7 +616,9 @@ mod tests {
             },
         ];
         for m in msgs {
-            let back: DissemMsg = decode(encode(&m)).unwrap();
+            let bytes = encode(&m);
+            assert_eq!(bytes.len(), m.encoded_len(), "{m:?}");
+            let back: DissemMsg = decode(bytes).unwrap();
             assert_eq!(back, m);
         }
     }

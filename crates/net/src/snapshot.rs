@@ -182,21 +182,39 @@ pub struct SnapshotStamp {
     pub app_state: Bytes,
 }
 
-/// FNV-1a step over one delivered message.
-fn digest_msg(mut h: u64, msg: &AppMsg) -> u64 {
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut step = |byte: u8| {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(PRIME);
-    };
-    for b in msg.id.sender.0.to_le_bytes() {
-        step(b);
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// One FNV-1a step over a 64-bit word.
+fn fnv(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(FNV_PRIME)
+}
+
+/// Folds one delivered message into the running digest `h`.
+///
+/// FNV-1a over little-endian `u64` words: sender, seq and payload length
+/// first, then the payload's 32-byte blocks across four independent
+/// lanes (one word each, so the multiplies pipeline instead of forming
+/// one dependency chain per byte), then the lanes, then the tail bytes
+/// one at a time. Every step is a bijection of the running value, so a
+/// change to any single word or byte changes the result.
+fn digest_msg(h: u64, msg: &AppMsg) -> u64 {
+    let payload: &[u8] = &msg.payload;
+    let h = fnv(h, u64::from(msg.id.sender.0));
+    let h = fnv(h, msg.id.seq);
+    let mut h = fnv(h, payload.len() as u64);
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8-byte word"));
+    let mut lanes = [fnv(h, 0), fnv(h, 1), fnv(h, 2), fnv(h, 3)];
+    let mut blocks = payload.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = fnv(*lane, word(w));
+        }
     }
-    for b in msg.id.seq.to_le_bytes() {
-        step(b);
+    for lane in lanes {
+        h = fnv(h, lane);
     }
-    for &b in msg.payload.iter() {
-        step(b);
+    for &b in blocks.remainder() {
+        h = fnv(h, u64::from(b));
     }
     h
 }
@@ -543,6 +561,40 @@ mod tests {
     }
 
     #[test]
+    fn digest_sees_every_lane_word_and_tail_byte() {
+        // 512 four-lane blocks plus a 5-byte tail.
+        let body: Vec<u8> = (0..16 * 1024 + 5).map(|i| (i * 31 % 251) as u8).collect();
+        let base = digest_msg(DIGEST_SEED, &msg(2, 9, &body));
+        let words = 16 * 1024 / 8;
+        for word in 0..words {
+            let mut flipped = body.clone();
+            flipped[word * 8 + word % 8] ^= 1 << (word / 8 % 8);
+            let d = digest_msg(DIGEST_SEED, &msg(2, 9, &flipped));
+            assert_ne!(
+                d,
+                base,
+                "bit flip in word {word} (lane {}) unseen",
+                word % 4
+            );
+        }
+        for tail in 16 * 1024..body.len() {
+            let mut flipped = body.clone();
+            flipped[tail] ^= 0x80;
+            let d = digest_msg(DIGEST_SEED, &msg(2, 9, &flipped));
+            assert_ne!(d, base, "bit flip in tail byte {tail} unseen");
+        }
+    }
+
+    #[test]
+    fn digest_covers_id_and_length() {
+        let d = |sender, seq, body: &[u8]| digest_msg(DIGEST_SEED, &msg(sender, seq, body));
+        assert_ne!(d(0, 0, b"a"), d(0, 0, b"a\0"), "trailing zero byte unseen");
+        assert_ne!(d(0, 0, b""), d(0, 0, b"\0"));
+        assert_ne!(d(0, 0, b"a"), d(1, 0, b"a"), "sender unseen");
+        assert_ne!(d(0, 0, b"a"), d(0, 1, b"a"), "seq unseen");
+    }
+
+    #[test]
     fn snapshot_round_trips_and_installs() {
         let mut fold = SnapshotFold::new(None);
         fold.absorb(0, &Batch::normalize(vec![msg(0, 0, b"a"), msg(1, 0, b"b")]));
@@ -551,6 +603,11 @@ mod tests {
         assert_eq!(snap.last_included, 1);
         assert_eq!(snap.delivered_count, 3);
         let bytes = encode(&snap);
+        assert_eq!(bytes.len(), snap.encoded_len());
+        for log in &snap.delivered {
+            assert_eq!(encode(log).len(), log.encoded_len());
+        }
+        assert!(snap.delivered.iter().any(|log| !log.above.is_empty()));
         let back: Snapshot = decode(bytes).unwrap();
         assert_eq!(back, snap);
 
@@ -619,7 +676,10 @@ mod tests {
             (3, ConfigChange::Add(ProcessId(3))),
             (7, ConfigChange::Remove(ProcessId(1))),
         ];
-        let back: Snapshot = decode(encode(&snap)).unwrap();
+        snap.app_state = Bytes::from_static(b"state");
+        let bytes = encode(&snap);
+        assert_eq!(bytes.len(), snap.encoded_len());
+        let back: Snapshot = decode(bytes).unwrap();
         assert_eq!(back, snap);
         assert_eq!(back.reconfigs.len(), 2);
     }

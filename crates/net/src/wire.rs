@@ -38,10 +38,13 @@ impl std::error::Error for WireError {}
 /// Sanity cap on decoded collection lengths (codec-level DoS guard).
 const MAX_LEN: u64 = 256 * 1024 * 1024;
 
-/// Write half of the codec: appends values to a growable buffer.
+/// Write half of the codec: appends values to a growable buffer, or —
+/// in count-only mode — just tallies how many bytes they would take.
 #[derive(Debug, Default)]
 pub struct WireWriter {
     buf: BytesMut,
+    /// `Some(n)` in count-only mode: `n` bytes counted, nothing stored.
+    counted: Option<usize>,
 }
 
 impl WireWriter {
@@ -54,27 +57,44 @@ impl WireWriter {
     pub fn with_capacity(cap: usize) -> Self {
         WireWriter {
             buf: BytesMut::with_capacity(cap),
+            counted: None,
+        }
+    }
+
+    /// A count-only writer: every `put_*` adds to [`len`](Self::len)
+    /// without touching a byte (the default [`Wire::encoded_len`]).
+    fn counter() -> Self {
+        WireWriter {
+            buf: BytesMut::new(),
+            counted: Some(0),
+        }
+    }
+
+    fn put_raw(&mut self, bytes: &[u8]) {
+        match &mut self.counted {
+            Some(n) => *n += bytes.len(),
+            None => self.buf.put_slice(bytes),
         }
     }
 
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.put_raw(&[v]);
     }
 
     /// Appends a little-endian `u16`.
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.put_u16_le(v);
+        self.put_raw(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
+        self.put_raw(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
+        self.put_raw(&v.to_le_bytes());
     }
 
     /// Appends raw bytes with a `u32` length prefix.
@@ -85,7 +105,7 @@ impl WireWriter {
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         let len = u32::try_from(bytes.len()).expect("byte string too long for wire format");
         self.put_u32(len);
-        self.buf.put_slice(bytes);
+        self.put_raw(bytes);
     }
 
     /// Appends a value implementing [`Wire`].
@@ -93,14 +113,14 @@ impl WireWriter {
         value.encode(self);
     }
 
-    /// Bytes written so far.
+    /// Bytes written (or, in count-only mode, counted) so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.counted.unwrap_or(self.buf.len())
     }
 
     /// True if nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Finishes writing and returns the immutable buffer.
@@ -224,19 +244,24 @@ pub trait Wire: Sized {
 
     /// Exact size of the encoding in bytes.
     ///
-    /// The default implementation encodes into a scratch buffer; types on
-    /// hot paths should override it with arithmetic.
+    /// Runs [`encode`](Wire::encode) through a count-only writer, so it
+    /// walks the value's structure but copies no payload byte; there is
+    /// no need to override it.
     fn encoded_len(&self) -> usize {
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::counter();
         self.encode(&mut w);
         w.len()
     }
 }
 
-/// Encodes a value into a fresh buffer.
+/// Encodes a value into a fresh buffer of exactly
+/// [`encoded_len`](Wire::encoded_len) bytes (one copy of each payload
+/// byte, no reallocation).
 pub fn encode<T: Wire>(value: &T) -> Bytes {
-    let mut w = WireWriter::with_capacity(value.encoded_len());
+    let len = value.encoded_len();
+    let mut w = WireWriter::with_capacity(len);
     value.encode(&mut w);
+    debug_assert_eq!(w.len(), len, "encoded_len disagrees with encode");
     w.finish()
 }
 
@@ -253,7 +278,7 @@ pub fn decode<T: Wire>(buf: Bytes) -> Result<T, WireError> {
 }
 
 macro_rules! wire_int {
-    ($t:ty, $put:ident, $get:ident, $n:expr) => {
+    ($t:ty, $put:ident, $get:ident) => {
         impl Wire for $t {
             fn encode(&self, w: &mut WireWriter) {
                 w.$put(*self);
@@ -261,17 +286,14 @@ macro_rules! wire_int {
             fn decode(r: &mut WireReader) -> Result<Self, WireError> {
                 r.$get()
             }
-            fn encoded_len(&self) -> usize {
-                $n
-            }
         }
     };
 }
 
-wire_int!(u8, put_u8, get_u8, 1);
-wire_int!(u16, put_u16, get_u16, 2);
-wire_int!(u32, put_u32, get_u32, 4);
-wire_int!(u64, put_u64, get_u64, 8);
+wire_int!(u8, put_u8, get_u8);
+wire_int!(u16, put_u16, get_u16);
+wire_int!(u32, put_u32, get_u32);
+wire_int!(u64, put_u64, get_u64);
 
 impl Wire for bool {
     fn encode(&self, w: &mut WireWriter) {
@@ -284,8 +306,14 @@ impl Wire for bool {
             t => Err(WireError::InvalidTag(t)),
         }
     }
-    fn encoded_len(&self) -> usize {
-        1
+}
+
+/// The empty message: zero bytes on the wire (a heartbeat, whose
+/// arrival is all it says).
+impl Wire for () {
+    fn encode(&self, _w: &mut WireWriter) {}
+    fn decode(_r: &mut WireReader) -> Result<Self, WireError> {
+        Ok(())
     }
 }
 
@@ -295,9 +323,6 @@ impl Wire for Bytes {
     }
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
         r.get_bytes()
-    }
-    fn encoded_len(&self) -> usize {
-        4 + self.len()
     }
 }
 
@@ -317,9 +342,6 @@ impl<T: Wire> Wire for Option<T> {
             1 => Ok(Some(T::decode(r)?)),
             t => Err(WireError::InvalidTag(t)),
         }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + self.as_ref().map_or(0, Wire::encoded_len)
     }
 }
 
@@ -341,9 +363,6 @@ impl<T: Wire> Wire for Vec<T> {
             out.push(T::decode(r)?);
         }
         Ok(out)
-    }
-    fn encoded_len(&self) -> usize {
-        4 + self.iter().map(Wire::encoded_len).sum::<usize>()
     }
 }
 
@@ -373,6 +392,12 @@ mod tests {
         round_trip(false);
         let mut r = WireReader::new(Bytes::from_static(&[7]));
         assert_eq!(bool::decode(&mut r), Err(WireError::InvalidTag(7)));
+    }
+
+    #[test]
+    fn unit_is_zero_bytes() {
+        round_trip(());
+        assert!(encode(&()).is_empty());
     }
 
     #[test]
