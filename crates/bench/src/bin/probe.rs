@@ -717,15 +717,18 @@ fn sweep_dissemination(quick: bool, coverage: &mut CoverageReport) -> Result<(),
 /// mid-load — traced and oracle-audited (config agreement included). A
 /// violating run dumps its bounded trace window and ddmin-minimized
 /// reproducer under `target/trace/` via the runner's artifact path, the
-/// same globs CI's diagnostics artifact uploads.
+/// same globs CI's diagnostics artifact uploads. Each stack must also
+/// keep delivering at least [`RECONFIG_FLOOR`] of the offered load
+/// through the membership changes.
 fn reconfig_audit(coverage: &mut CoverageReport) -> Result<(), String> {
     print_header("reconfiguration (log-decided add/remove)");
     let scenario = Scenario::new()
         .add_node(ProcessId(3), VDur::millis(1300))
         .remove_node(ProcessId(1), VDur::millis(2100));
+    let offered = 500.0;
     for kind in [StackKind::Monolithic, StackKind::Modular] {
         let mut exp = Experiment::builder(kind, 3)
-            .workload(Workload::constant_rate(500.0, 1024))
+            .workload(Workload::constant_rate(offered, 1024))
             .warmup_secs(1.0)
             .measure_secs(2.0)
             .seed(7)
@@ -751,9 +754,22 @@ fn reconfig_audit(coverage: &mut CoverageReport) -> Result<(), String> {
                 kind.label()
             ));
         }
+        if r.throughput_msgs_per_sec < RECONFIG_FLOOR * offered {
+            return Err(format!(
+                "reconfig audit ({}): {:.1} msg/s delivered, below {:.0}% of the offered \
+                 {offered} msg/s",
+                kind.label(),
+                r.throughput_msgs_per_sec,
+                RECONFIG_FLOOR * 100.0
+            ));
+        }
     }
     Ok(())
 }
+
+/// Share of the offered load each stack must deliver through the
+/// reconfiguration audit's membership changes.
+const RECONFIG_FLOOR: f64 = 0.9;
 
 /// Where the tracing smoke writes its exports.
 const TRACE_DIR: &str = "target/trace";

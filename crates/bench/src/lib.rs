@@ -15,14 +15,10 @@
 //!   window swept;
 //! * `micro` — micro-benchmarks of the simulation substrate itself.
 //!
-//! Two binaries complement them: `probe` prints calibration tables and
-//! writes the four machine-readable `BENCH_*.json` trajectory files —
-//! the modularity sweep, the resource-fault (degraded links / slow
-//! nodes) sweep, the stable-write cost sweep and the snapshot-cadence
-//! sweep (formats in the top-level README, knobs in
-//! `docs/COST_MODEL.md`) — then re-reads and verifies each through
-//! [`json`]; `crashprobe` exercises the crash-recovery path under
-//! load.
+//! The `probe` binary complements them: it prints calibration tables
+//! and writes the six machine-readable `BENCH_*.json` trajectory files
+//! (formats in the top-level README, knobs in `docs/COST_MODEL.md`),
+//! then re-reads and verifies each through [`json`].
 //!
 //! This crate holds the code they share: sweep helpers, gnuplot-style
 //! table printing, the dependency-free [`json`] validator, and the

@@ -8,6 +8,16 @@
 //! the paper's optimizations (skipped round-0 estimate phase,
 //! suspicion-driven rounds, `DECISION` tag dissemination).
 //!
+//! Recovery has one catch-up path. A process that is behind — revived
+//! after a crash, newly added, or a live laggard after a partition —
+//! pulls the decided values it misses as ranges: a
+//! [`JoinRequest`](msg::ConsensusMsg::JoinRequest) from its replayed
+//! watermark, answered with one
+//! [`StateTransfer`](msg::ConsensusMsg::StateTransfer) of up to 16
+//! values, or with the snapshot when that prefix was compacted. At most
+//! one pull is in flight; each answering transfer clocks the next, and
+//! an unanswered pull is re-sent after 50 ms.
+//!
 //! See [`ConsensusModule`] for the algorithm description and
 //! [`msg::ConsensusMsg`] for the wire vocabulary.
 

@@ -17,7 +17,10 @@
 //!    reliable broadcast module: in round 0 the notice carries no value —
 //!    receivers decide the round-0 proposal they already hold. A receiver
 //!    missing the proposal (possible when the coordinator crashed
-//!    mid-round) recovers with `DecisionRequest`/`DecisionFull`.
+//!    mid-round) recovers with `DecisionRequest`/`DecisionFull`. The
+//!    coordinator keeps its decided value as a view of the proposal
+//!    frame it broadcast, so every process holds the same single copy
+//!    of each decided batch.
 //!
 //! Safety is the classic CT argument: a decision in round `r` requires
 //! acks from a majority, every ack locks the proposal as the acker's
@@ -54,11 +57,24 @@
 //!   revived process advertises "I am at instance 0" with a
 //!   [`JoinRequest`](ConsensusMsg::JoinRequest) broadcast and peers
 //!   stream the decided prefix back in bulk
-//!   [`StateTransfer`](ConsensusMsg::StateTransfer) batches, chained at
-//!   round-trip pace until the joiner reaches the live frontier. Every
-//!   replayed decision re-raises `Event::Decide`, so the stack above
-//!   re-delivers the prefix byte-identically — which the chaos oracle
-//!   checks across incarnations.
+//!   [`StateTransfer`](ConsensusMsg::StateTransfer) batches until the
+//!   joiner reaches the live frontier. Every replayed decision re-raises
+//!   `Event::Decide`, so the stack above re-delivers the prefix
+//!   byte-identically — which the chaos oracle checks across
+//!   incarnations.
+//!
+//! # Catch-up
+//!
+//! There is one catch-up path, shared by a revived process and a live
+//! laggard (a healed partition minority, a long-suspected process): a
+//! *range pull*, a unicast `JoinRequest` carrying the replayed
+//! watermark, answered with one `StateTransfer` of up to 16 decided
+//! values (or the snapshot, when that prefix was compacted). A process
+//! keeps at most one pull in flight. Seeing traffic beyond its
+//! pipeline window starts one; each `StateTransfer` that answers it
+//! clocks the next while the process is still behind; an unanswered
+//! pull is re-sent after 50 ms. Recovery thus costs a bounded number of
+//! pulls at round-trip pace, however slow the serving peer is.
 //!
 //! # Log compaction and snapshot state transfer
 //!
@@ -123,6 +139,8 @@ fn vote_key(instance: u64) -> u64 {
 const MAX_TRANSFER: u64 = 16;
 /// Minimum spacing of rejoin re-announcements.
 const JOIN_RETRY: VDur = VDur::millis(300);
+/// An unanswered catch-up pull is re-sent after this long.
+const PULL_RETRY: VDur = VDur::millis(50);
 /// Minimum spacing of snapshot offers toward one lagging peer.
 const OFFER_SPACING: VDur = VDur::millis(50);
 
@@ -235,6 +253,15 @@ impl Instance {
     }
 }
 
+/// The catch-up pull in flight: a range request sent to `to` for the
+/// decided values from `watermark` on.
+#[derive(Debug, Clone, Copy)]
+struct Pull {
+    to: ProcessId,
+    watermark: u64,
+    sent: VTime,
+}
+
 /// The consensus microprotocol.
 ///
 /// Consumes [`Event::Propose`], raises [`Event::Decide`]; uses the
@@ -253,10 +280,9 @@ pub struct ConsensusModule {
     replayed: OriginLog,
     decisions: BTreeMap<u64, Batch>,
     suspected: BTreeSet<ProcessId>,
-    /// Per-peer rate limiter for gap/rejoin recovery requests.
-    gap_limiter: PeerRateLimiter,
-    /// Highest instance number observed in any peer message.
-    highest_seen: u64,
+    /// The one catch-up pull in flight, if any (see the
+    /// [crate docs](crate)).
+    pull: Option<Pull>,
     /// Vote records recovered from stable storage (restart only); seeds
     /// per-instance state when an instance is first touched.
     recovered_votes: BTreeMap<u64, VoteRecord>,
@@ -275,8 +301,9 @@ pub struct ConsensusModule {
     snapshot_bytes: Bytes,
     /// In-progress snapshot download (receiver side).
     download: SnapshotDownload,
-    /// Rate limiter for snapshot offers toward lagging peers (a batch
-    /// of gap requests needs one offer, not eight).
+    /// Rate limiter for snapshot offers answering requests for
+    /// compacted decisions (a retried request needs one offer, not one
+    /// per retry).
     offer_limiter: PeerRateLimiter,
     /// Snapshot recovered from stable storage (restart only); installed
     /// in `on_start`, where a handler context is available.
@@ -306,8 +333,7 @@ impl ConsensusModule {
             replayed: OriginLog::default(),
             decisions: BTreeMap::new(),
             suspected: BTreeSet::new(),
-            gap_limiter: PeerRateLimiter::new(),
-            highest_seen: 0,
+            pull: None,
             recovered_votes: BTreeMap::new(),
             rejoining: false,
             rejoin_target: 0,
@@ -601,8 +627,8 @@ impl ConsensusModule {
     /// Only snapshot-covered entries are evicted, and only while the
     /// cache overflows — the recent log tail stays as deep as
     /// `decision_cache` allows, so small gaps (a briefly partitioned
-    /// peer) are still served as cheap `DecisionFull`/`StateTransfer`
-    /// replies and the snapshot path is reserved for deep ones.
+    /// peer) are still served as cheap `StateTransfer` replies and the
+    /// snapshot path is reserved for deep ones.
     fn set_snapshot(&mut self, ctx: &mut FrameworkCtx<'_, '_>, snap: Snapshot, installed: bool) {
         let bytes = encode(&snap);
         // Durability is not free: materializing charges the encode
@@ -631,11 +657,14 @@ impl ConsensusModule {
 
     /// Seeing traffic for instance `seen` while older instances are
     /// still undecided means we missed decisions (partition, loss, a
-    /// long suspicion): pull a bounded batch of them from the process we
-    /// heard from. Without this, a healed process recovers only one
-    /// instance per progress-timeout and can lag arbitrarily far behind.
+    /// long suspicion): pull the missing range from the process we heard
+    /// from. Without this, a healed process recovers only one instance
+    /// per progress-timeout and can lag arbitrarily far behind.
+    ///
+    /// At most one pull is in flight: a sighting while one awaits its
+    /// reply (or while a snapshot download runs) sends nothing, unless
+    /// the pull went unanswered for [`PULL_RETRY`].
     fn maybe_request_gap(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, seen: u64) {
-        self.highest_seen = self.highest_seen.max(seen);
         let watermark = self.decided_log.watermark();
         // Instances inside the pipeline window above the contiguous
         // decided watermark are normally in flight, not missing.
@@ -643,28 +672,31 @@ impl ConsensusModule {
         if seen <= expected || from == ctx.pid() {
             return;
         }
-        // Rate limited per peer: throttling catch-up toward one lagging
-        // peer must not suppress catch-up toward another.
         let now = ctx.now();
-        if !self.gap_limiter.allow(from, now, VDur::millis(50)) {
+        let waiting = self.pull.is_some_and(|p| now.since(p.sent) < PULL_RETRY);
+        if waiting || self.download.in_progress(now, JOIN_RETRY) {
             return;
         }
-        self.request_gap_batch(ctx, from, seen);
+        self.pull_from(ctx, from);
     }
 
-    /// Pulls a bounded batch of missing decisions (lowest undecided
-    /// first) from `from`.
-    fn request_gap_batch(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, seen: u64) {
-        const MAX_BATCH: u64 = 8;
-        let watermark = self.decided_log.watermark();
-        for instance in watermark..seen.min(watermark + MAX_BATCH) {
-            if !self.is_decided(instance) {
-                ctx.bump("consensus.gap_requests", 1);
-                ctx.trace_span("consensus", instance, "gap_pull", u64::from(from.0));
-                let msg = ConsensusMsg::DecisionRequest { instance };
-                ctx.send_net(from, "consensus.decision_request", &msg);
-            }
-        }
+    /// Sends the catch-up pull to `to`: a range request for the decided
+    /// values from the replayed watermark on, served by
+    /// [`serve_join`](Self::serve_join). A pull is rejoin progress too,
+    /// so it defers the next rejoin announcement.
+    fn pull_from(&mut self, ctx: &mut FrameworkCtx<'_, '_>, to: ProcessId) {
+        let watermark = self.replayed.watermark();
+        let now = ctx.now();
+        self.pull = Some(Pull {
+            to,
+            watermark,
+            sent: now,
+        });
+        self.last_join = now;
+        ctx.bump("consensus.gap_requests", 1);
+        ctx.trace_span("consensus", watermark, "gap_pull", u64::from(to.0));
+        let msg = ConsensusMsg::JoinRequest { watermark };
+        ctx.send_net(to, "consensus.join_request", &msg);
     }
 
     /// Coordinator-side: a majority acked our proposal — decide and
@@ -757,12 +789,33 @@ impl ConsensusModule {
         // Coordinator self-ack: durable before (atomically with) the
         // proposal leaves this process.
         self.persist_vote(ctx, instance, round, round + 1, &value);
+        self.broadcast_proposal(ctx, instance, round, value);
+    }
+
+    /// Coordinator-side: broadcasts the proposal for `(instance, round)`
+    /// and re-points the local estimate at the frame the peers received,
+    /// so the decided value is one copy shared by every process rather
+    /// than the buffers the proposal was built from plus the frame.
+    fn broadcast_proposal(
+        &mut self,
+        ctx: &mut FrameworkCtx<'_, '_>,
+        instance: u64,
+        round: u32,
+        value: Batch,
+    ) {
         let msg = ConsensusMsg::Propose {
             instance,
             round,
             value,
         };
-        ctx.broadcast_net("consensus.proposal", &msg);
+        let sent = ctx.broadcast_net("consensus.proposal", &msg);
+        if let (Ok(ConsensusMsg::Propose { value, .. }), Some(inst)) = (
+            decode::<ConsensusMsg>(sent),
+            self.instances.get_mut(&instance),
+        ) {
+            inst.estimate = Some(value.clone());
+            inst.last_proposal = Some((round, value));
+        }
         self.try_conclude(ctx, instance);
     }
 
@@ -855,13 +908,7 @@ impl ConsensusModule {
             ctx.bump("consensus.proposals", 1);
             ctx.trace_span("consensus", instance, "proposed", 0);
             self.persist_vote(ctx, instance, 0, 1, &v);
-            let msg = ConsensusMsg::Propose {
-                instance,
-                round: 0,
-                value: v,
-            };
-            ctx.broadcast_net("consensus.proposal", &msg);
-            self.try_conclude(ctx, instance);
+            self.broadcast_proposal(ctx, instance, 0, v);
         } else if members[inst.round as usize % members.len()] == me {
             // We are (now) the coordinator of a later round and were only
             // waiting for our own initial value.
@@ -1152,7 +1199,6 @@ impl ConsensusModule {
         frontier: u64,
     ) {
         self.rejoin_target = self.rejoin_target.max(frontier);
-        self.highest_seen = self.highest_seen.max(frontier);
         let now = ctx.now();
         let already_past = self.fold.next_instance() > last_included;
         match self.download.absorb(
@@ -1176,12 +1222,9 @@ impl ConsensusModule {
             }
             ChunkOutcome::Complete(snap) => {
                 self.install_snapshot(ctx, *snap);
-                // Chained tail catch-up from the serving peer.
-                self.last_join = now;
-                let msg = ConsensusMsg::JoinRequest {
-                    watermark: self.replayed.watermark(),
-                };
-                ctx.send_net(from, "consensus.join_request", &msg);
+                // The completed download clocks the tail pull from the
+                // serving peer.
+                self.pull_from(ctx, from);
             }
             ChunkOutcome::Ignored => {}
             ChunkOutcome::Corrupt => ctx.bump("consensus.snapshot_garbage", 1),
@@ -1209,15 +1252,17 @@ impl ConsensusModule {
         for (d, change) in snap.reconfigs.clone() {
             self.register_reconfig(ctx, d, change);
         }
-        self.highest_seen = self.highest_seen.max(snap.last_included);
         ctx.bump("consensus.snapshots_installed", 1);
         ctx.trace_span("consensus", snap.last_included, "snapshot_install", 0);
         self.set_snapshot(ctx, snap.clone(), true);
         ctx.raise(Event::InstallSnapshot { snapshot: snap });
     }
 
-    /// Absorbs a bulk state transfer, then keeps pulling from the same
-    /// peer at round-trip pace while still behind its frontier.
+    /// Absorbs a bulk state transfer. The reply to the pull in flight
+    /// (or any transfer while none is) clocks the next pull from the same
+    /// peer while this process is still behind its frontier; other
+    /// transfers — duplicate replies, answers to a rejoin announcement —
+    /// are absorbed without pulling, so at most one pull stays in flight.
     fn absorb_transfer(
         &mut self,
         ctx: &mut FrameworkCtx<'_, '_>,
@@ -1227,19 +1272,20 @@ impl ConsensusModule {
         frontier: u64,
     ) {
         self.rejoin_target = self.rejoin_target.max(frontier);
-        self.highest_seen = self.highest_seen.max(frontier);
         for (i, value) in values.into_iter().enumerate() {
             self.decide_local(ctx, first + i as u64, value);
         }
+        let now = ctx.now();
+        let clocked = self.pull.is_none_or(|p| {
+            (p.to == from && p.watermark == first) || now.since(p.sent) >= PULL_RETRY
+        });
+        if clocked {
+            self.pull = None;
+        }
         let mine = self.replayed.watermark();
         if mine < self.rejoin_target {
-            // Chained catch-up: a short per-peer rate limit keeps one
-            // reply burst from re-requesting the same range.
-            let now = ctx.now();
-            if self.gap_limiter.allow(from, now, VDur::millis(5)) {
-                self.last_join = now;
-                let msg = ConsensusMsg::JoinRequest { watermark: mine };
-                ctx.send_net(from, "consensus.join_request", &msg);
+            if clocked {
+                self.pull_from(ctx, from);
             }
         } else if self.rejoining && mine >= self.decided_log.watermark() {
             // Replay reached both the advertised frontier and our own
@@ -1403,7 +1449,7 @@ impl Microprotocol for ConsensusModule {
                     // process (a healed partition minority — not just a
                     // restarted joiner) can leap past the compaction
                     // horizon instead of stalling. Rate-limited: one
-                    // offer answers a whole gap-request batch.
+                    // offer answers a run of retried requests.
                     let now = ctx.now();
                     if self.offer_limiter.allow(from, now, OFFER_SPACING) {
                         self.serve_snapshot_chunk(ctx, from, 0);
@@ -1411,21 +1457,7 @@ impl Microprotocol for ConsensusModule {
                 }
             }
             ConsensusMsg::DecisionFull { instance, value } => {
-                self.highest_seen = self.highest_seen.max(instance);
                 self.decide_local(ctx, instance, value);
-                // Chained catch-up (see `maybe_request_gap`): while still
-                // behind, pull the next batch at near round-trip pace. A
-                // short per-peer rate limit stops a batch's several
-                // replies from re-requesting the same range.
-                let now = ctx.now();
-                let watermark = self.decided_log.watermark();
-                let expected = watermark + self.cfg.pipeline_depth.max(1) - 1;
-                if self.highest_seen > expected
-                    && self.gap_limiter.allow(from, now, VDur::millis(5))
-                {
-                    let hi = self.highest_seen;
-                    self.request_gap_batch(ctx, from, hi);
-                }
             }
             ConsensusMsg::JoinRequest { watermark } => {
                 self.serve_join(ctx, from, watermark);

@@ -35,31 +35,37 @@ pub enum ConsensusMsg {
         /// Round being acknowledged.
         round: u32,
     },
-    /// Request for a decision value (recovery path when a `DECISION` tag
-    /// arrives without the matching proposal).
+    /// Request for one decision value: the recovery path when a
+    /// `DECISION` tag arrives without the matching proposal (and its
+    /// sweep retry). Catch-up over a range uses
+    /// [`JoinRequest`](Self::JoinRequest) instead.
     DecisionRequest {
         /// Consensus instance.
         instance: u64,
     },
-    /// Full decision value (recovery response / late joiner help).
+    /// Full decision value: the answer to a
+    /// [`DecisionRequest`](Self::DecisionRequest), or help for a lagging
+    /// coordinator still proposing in a decided instance.
     DecisionFull {
         /// Consensus instance.
         instance: u64,
         /// The decided value.
         value: Batch,
     },
-    /// Rejoin announcement of a (re)started process: "my contiguous
-    /// replayed prefix ends at `watermark`" — a restarted node
-    /// advertises instance 0. Peers that are ahead answer with a
-    /// [`StateTransfer`](Self::StateTransfer).
+    /// "My contiguous replayed prefix ends at `watermark`": broadcast
+    /// as the rejoin announcement of a (re)started process (which
+    /// advertises instance 0), and unicast as the catch-up range pull
+    /// of any process that is behind. Peers that are ahead answer with
+    /// a [`StateTransfer`](Self::StateTransfer), or with the snapshot
+    /// when `watermark` lies in their compacted prefix.
     JoinRequest {
         /// First instance the sender is missing.
         watermark: u64,
     },
     /// Bulk catch-up reply: the decided values of the consecutive
     /// instances `from, from+1, …`, plus the sender's own replay
-    /// frontier so the joiner can keep pulling in chained rounds until
-    /// it reaches the live edge.
+    /// frontier so the puller can keep pulling, one range per reply,
+    /// until it reaches the live edge.
     StateTransfer {
         /// Instance of `values[0]`.
         from: u64,

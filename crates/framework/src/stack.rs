@@ -107,23 +107,28 @@ impl FrameworkCtx<'_, '_> {
     }
 
     /// Sends `msg` to every other process (n−1 unicasts, in pid order).
-    pub fn broadcast_net(&mut self, kind: &'static str, msg: &impl Wire) {
+    /// Returns the encoded message as a view into the framed buffer the
+    /// copies share (see [`multicast_net`](Self::multicast_net)).
+    pub fn broadcast_net(&mut self, kind: &'static str, msg: &impl Wire) -> Bytes {
         let me = self.pid();
-        self.multicast_net(ProcessId::all(self.n()).filter(|&p| p != me), kind, msg);
+        self.multicast_net(ProcessId::all(self.n()).filter(|&p| p != me), kind, msg)
     }
 
     /// Sends `msg` to each of `dsts` in order; every copy shares one
-    /// framed buffer.
+    /// framed buffer. Returns the encoded message (the frame minus the
+    /// module id) as a view into that buffer, so a sender that keeps
+    /// what it sent can decode it without holding a second copy.
     pub fn multicast_net(
         &mut self,
         dsts: impl IntoIterator<Item = ProcessId>,
         kind: &'static str,
         msg: &impl Wire,
-    ) {
+    ) -> Bytes {
         let framed = frame(self.module_id, msg);
         for dst in dsts {
             self.node.send(dst, kind, framed.clone());
         }
+        framed.slice(std::mem::size_of::<ModuleId>()..)
     }
 
     /// Arms a timer owned by this module. `tag` must fit in 56 bits.
