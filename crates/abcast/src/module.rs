@@ -78,9 +78,10 @@ const TAG_RETX: u64 = 1;
 const TAG_PULL: u64 = 2;
 
 /// Stable-store key of the origin-local payload sequence counter
-/// (namespace `6 << 56`; see the workspace key registry in
-/// `docs/LINTS.md`) — persisted so a revived origin never reuses a
-/// [`ValueId`], which peers may still hold payloads under.
+/// (namespace `6 << 56`; the namespaces are listed in the
+/// `fortika_net::replica_log` docs, and `fortika-lint`'s `stable-key`
+/// rule keeps them distinct) — persisted so a revived origin never
+/// reuses a [`ValueId`], which peers may still hold payloads under.
 pub const ABCAST_STABLE_SEQ_KEY: u64 = 6 << 56;
 
 /// Configuration of the modular atomic broadcast module.

@@ -39,29 +39,16 @@
 //! missed decisions). Decisions are raised as they land; the layer
 //! above buffers and applies them strictly in instance order.
 //!
-//! # Crash-recovery
+//! # Crash recovery, compaction and reconfiguration
 //!
-//! A process revived via `Cluster::schedule_restart` loses all volatile
-//! state. Two mechanisms make that survivable:
-//!
-//! * **Durable votes** — every vote (ack / adoption) writes a
-//!   [`VoteRecord`] to the host's stable store atomically with the vote
-//!   message; [`ConsensusModule::resume`] replays the records so a
-//!   revived process re-enters undecided instances with its locked
-//!   `(round, estimate, ts)` intact. Without this, the quorum
-//!   intersection at the heart of CT safety breaks (an amnesiac acker
-//!   can help decide a second, different value). The contiguous decided
-//!   watermark is persisted too, fencing re-votes in long-decided
-//!   instances; records below it are garbage collected.
-//! * **Rejoin catch-up** — the decided *values* are not persisted: the
-//!   revived process advertises "I am at instance 0" with a
-//!   [`JoinRequest`](ConsensusMsg::JoinRequest) broadcast and peers
-//!   stream the decided prefix back in bulk
-//!   [`StateTransfer`](ConsensusMsg::StateTransfer) batches until the
-//!   joiner reaches the live frontier. Every replayed decision re-raises
-//!   `Event::Decide`, so the stack above re-delivers the prefix
-//!   byte-identically — which the chaos oracle checks across
-//!   incarnations.
+//! Durable vote records, rejoin catch-up, log compaction with snapshot
+//! transfer and the configuration timeline live in the replica log both
+//! stacks share ([`fortika_net::replica_log`]). This module holds a
+//! [`ReplicaLog`] and turns its events into stack events: every recorded
+//! decision raises `Event::Decide` (so a revived process re-delivers the
+//! replayed prefix), every activated configuration `Event::ConfigActive`,
+//! and every installed snapshot `Event::InstallSnapshot`, which makes the
+//! abcast module skip the compacted instances.
 //!
 //! # Catch-up
 //!
@@ -75,42 +62,19 @@
 //! clocks the next while the process is still behind; an unanswered
 //! pull is re-sent after 50 ms. Recovery thus costs a bounded number of
 //! pulls at round-trip pace, however slow the serving peer is.
-//!
-//! # Log compaction and snapshot state transfer
-//!
-//! The decision cache is bounded, so under unbounded history the old
-//! prefix must eventually go. Instead of evicting it blindly (which made
-//! deep rejoins unservable), every process folds the contiguous decided
-//! prefix through a deterministic [`SnapshotFold`] and periodically
-//! materializes a [`Snapshot`] — application-state digest, per-sender
-//! delivered sets and the `last_included` instance — persisted via the
-//! stable store, then truncates cached decisions at or below
-//! `last_included`. A joiner whose gap starts inside the compacted
-//! prefix receives the snapshot instead, chunked at round-trip pace
-//! ([`SnapshotTransfer`](ConsensusMsg::SnapshotTransfer) /
-//! [`SnapshotPull`](ConsensusMsg::SnapshotPull)); it installs the
-//! snapshot, raises `Event::InstallSnapshot` so the delivery layer skips
-//! the compacted instances, and resumes log catch-up at
-//! `last_included + 1`. Deliveries before the install point are replaced
-//! by the snapshot, so byte-identical replay is owed only for the tail —
-//! the recovery-aware oracle audits exactly that, plus cross-process
-//! agreement on snapshot digests.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use fortika_framework::{Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
-use fortika_net::membership::{decode_reconfigs, encode_reconfigs};
-use fortika_net::snapshot::{chunk_of, stamp_of};
-use fortika_net::wire::{decode, encode, WireReader, WireWriter};
+use fortika_net::wire::{decode, encode};
 use fortika_net::{
-    parse_reconfig, AppState, Batch, ChunkOutcome, ConfigChange, ConfigTimeline, PeerRateLimiter,
-    ProcessId, Snapshot, SnapshotDownload, SnapshotFold, StableStore, TimerId,
+    AppState, Batch, Followup, LogConfig, LogNames, ProcessId, ReplicaLog, Snapshot, StableStore,
+    TimerId,
 };
-use fortika_rbcast::OriginLog;
 use fortika_sim::{VDur, VTime};
 
-use crate::msg::{coordinator, ConsensusMsg, DecisionNotice, VoteRecord};
+use crate::msg::{ConsensusMsg, DecisionNotice};
 
 /// Wire demux id of the consensus module.
 pub const CONSENSUS_MODULE_ID: ModuleId = 2;
@@ -120,29 +84,29 @@ pub const DECISION_STREAM: u8 = 0;
 
 const TAG_SWEEP: u64 = 0;
 
-/// Stable-store key namespace tag of per-instance vote records.
-const STABLE_VOTE_TAG: u64 = 1 << 56;
-/// Stable-store key of the contiguous decided watermark.
-const STABLE_WATERMARK_KEY: u64 = 2 << 56;
-/// Stable-store key of the latest log-compaction snapshot.
-const STABLE_SNAPSHOT_KEY: u64 = 3 << 56;
-/// Stable-store key of the registered reconfiguration history.
-const STABLE_CONFIG_KEY: u64 = 4 << 56;
-
-/// Stable-store key of `instance`'s vote record.
-fn vote_key(instance: u64) -> u64 {
-    debug_assert!(instance < (1 << 56));
-    STABLE_VOTE_TAG | instance
-}
-
-/// Instances streamed per [`ConsensusMsg::StateTransfer`] reply.
-const MAX_TRANSFER: u64 = 16;
-/// Minimum spacing of rejoin re-announcements.
-const JOIN_RETRY: VDur = VDur::millis(300);
 /// An unanswered catch-up pull is re-sent after this long.
 const PULL_RETRY: VDur = VDur::millis(50);
-/// Minimum spacing of snapshot offers toward one lagging peer.
-const OFFER_SPACING: VDur = VDur::millis(50);
+
+/// The names the replica log reports under in this stack.
+static LOG_NAMES: LogNames = LogNames {
+    stack: "consensus",
+    kinds: [
+        "consensus.join_request",
+        "consensus.state_transfer",
+        "consensus.snapshot_transfer",
+        "consensus.snapshot_pull",
+    ],
+    reconfigs: "consensus.reconfigs",
+    snapshots: "consensus.snapshots",
+    snapshots_installed: "consensus.snapshots_installed",
+    join_requests: "consensus.join_requests",
+    state_transfers: "consensus.state_transfers",
+    join_unservable: "consensus.join_unservable",
+    snapshot_transfers: "consensus.snapshot_transfers",
+    snapshot_pulls: "consensus.snapshot_pulls",
+    snapshot_garbage: "consensus.snapshot_garbage",
+    rejoins_completed: "consensus.rejoins_completed",
+};
 
 /// Configuration of the consensus module.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -213,6 +177,18 @@ impl Default for ConsensusConfig {
     }
 }
 
+/// The replica log's share of the module configuration.
+fn log_config(cfg: &ConsensusConfig) -> LogConfig {
+    LogConfig {
+        decision_cache: cfg.decision_cache,
+        snapshot_interval: cfg.snapshot_interval,
+        initial_members: cfg.initial_members,
+        reconfig_offset: cfg.reconfig_offset,
+        skip_vote_persist: cfg.skip_vote_persist,
+        skip_config_fence: cfg.skip_config_fence,
+    }
+}
+
 /// Per-instance protocol state.
 struct Instance {
     round: u32,
@@ -270,83 +246,23 @@ struct Pull {
 pub struct ConsensusModule {
     cfg: ConsensusConfig,
     instances: BTreeMap<u64, Instance>,
-    /// Instances this process may no longer vote in (voting fence).
-    /// After a restart it is pre-loaded from the persisted watermark,
-    /// so it can run *ahead* of [`replayed`](Self::replayed).
-    decided_log: OriginLog,
-    /// Instances whose decision was raised as [`Event::Decide`] in this
-    /// incarnation — the replay/delivery progress. Always starts at 0,
-    /// so a revived process re-raises the whole decided prefix.
-    replayed: OriginLog,
-    decisions: BTreeMap<u64, Batch>,
+    /// Decided log, vote records, snapshots and configuration timeline.
+    log: ReplicaLog<ConsensusMsg>,
     suspected: BTreeSet<ProcessId>,
     /// The one catch-up pull in flight, if any (see the
     /// [crate docs](crate)).
     pull: Option<Pull>,
-    /// Vote records recovered from stable storage (restart only); seeds
-    /// per-instance state when an instance is first touched.
-    recovered_votes: BTreeMap<u64, VoteRecord>,
-    /// Still catching up after a restart (rejoin announcements active).
-    rejoining: bool,
-    /// Highest replay frontier any state transfer advertised.
-    rejoin_target: u64,
-    /// When the last rejoin announcement went out.
-    last_join: VTime,
-    /// Deterministic fold of the contiguous decided prefix (feeds
-    /// snapshots; mirrors the delivery path's dedup exactly).
-    fold: SnapshotFold,
-    /// Latest materialized or installed snapshot, plus its cached
-    /// encoding for chunked serving.
-    snapshot: Option<Snapshot>,
-    snapshot_bytes: Bytes,
-    /// In-progress snapshot download (receiver side).
-    download: SnapshotDownload,
-    /// Rate limiter for snapshot offers answering requests for
-    /// compacted decisions (a retried request needs one offer, not one
-    /// per retry).
-    offer_limiter: PeerRateLimiter,
-    /// Snapshot recovered from stable storage (restart only); installed
-    /// in `on_start`, where a handler context is available.
-    restored: Option<Snapshot>,
-    /// The versioned configuration history (log-decided membership).
-    /// Built at `on_start` (the group size is only known then); `None`
-    /// answers every quorum question with the static-group math.
-    timeline: Option<ConfigTimeline>,
-    /// Reconfiguration commands decided but not yet *registered*: a
-    /// change enters the timeline only once the contiguous replayed
-    /// prefix covers its decided instance, so versions are numbered in
-    /// decided order on every process even when pipelined instances
-    /// land out of order.
-    pending_reconfigs: BTreeMap<u64, ConfigChange>,
-    /// Reconfiguration history recovered from stable storage (restart
-    /// only); registered in `on_start`.
-    recovered_reconfigs: Vec<(u64, ConfigChange)>,
 }
 
 impl ConsensusModule {
     /// Creates the module (fresh start at time zero).
     pub fn new(cfg: ConsensusConfig) -> Self {
         ConsensusModule {
+            log: ReplicaLog::new(&LOG_NAMES, log_config(&cfg)),
             cfg,
             instances: BTreeMap::new(),
-            decided_log: OriginLog::default(),
-            replayed: OriginLog::default(),
-            decisions: BTreeMap::new(),
             suspected: BTreeSet::new(),
             pull: None,
-            recovered_votes: BTreeMap::new(),
-            rejoining: false,
-            rejoin_target: 0,
-            last_join: VTime::ZERO,
-            fold: SnapshotFold::new(None),
-            snapshot: None,
-            snapshot_bytes: Bytes::new(),
-            download: SnapshotDownload::default(),
-            offer_limiter: PeerRateLimiter::new(),
-            restored: None,
-            timeline: None,
-            pending_reconfigs: BTreeMap::new(),
-            recovered_reconfigs: Vec::new(),
         }
     }
 
@@ -354,103 +270,19 @@ impl ConsensusModule {
     /// right after [`new`](Self::new)/[`resume`](Self::resume), before
     /// the module processes anything).
     pub fn with_app(mut self, app: Option<Box<dyn AppState>>) -> Self {
-        self.fold = SnapshotFold::new(app);
+        self.log.set_app(app);
         self
     }
 
-    /// Creates the module for a process revived after a crash: replays
-    /// the persisted vote records, decided watermark and log-compaction
-    /// snapshot out of `stable` and arms the rejoin announcement (see
-    /// the [crate docs](crate)).
+    /// Creates the module for a process revived after a crash: the
+    /// replica log reloads its durable state out of `stable` and
+    /// announces the rejoin at start (see the [crate docs](crate)).
     pub fn resume(cfg: ConsensusConfig, stable: &StableStore) -> Self {
-        let mut module = ConsensusModule::new(cfg);
-        module.rejoining = true;
-        for (&key, bytes) in stable {
-            if key == STABLE_WATERMARK_KEY {
-                if let Ok(w) = decode::<u64>(bytes.clone()) {
-                    module.decided_log.advance_to(w);
-                }
-            } else if key == STABLE_SNAPSHOT_KEY {
-                if let Ok(snap) = decode::<Snapshot>(bytes.clone()) {
-                    module.restored = Some(snap);
-                }
-            } else if key == STABLE_CONFIG_KEY {
-                let mut r = WireReader::new(bytes.clone());
-                if let Ok(history) = decode_reconfigs(&mut r) {
-                    module.recovered_reconfigs = history;
-                }
-            } else if key >> 56 == STABLE_VOTE_TAG >> 56 {
-                if let Ok(rec) = decode::<VoteRecord>(bytes.clone()) {
-                    module.recovered_votes.insert(key & !STABLE_VOTE_TAG, rec);
-                }
-            }
+        let log = ReplicaLog::resume(&LOG_NAMES, log_config(&cfg), stable);
+        ConsensusModule {
+            log,
+            ..ConsensusModule::new(cfg)
         }
-        module
-    }
-
-    /// The timeline, built on first use (the voter count defaults to
-    /// the cluster size; reconfig runs override it via
-    /// [`ConsensusConfig::initial_members`]).
-    fn timeline_mut(&mut self, n: usize) -> &mut ConfigTimeline {
-        let voters = if self.cfg.initial_members == 0 {
-            n
-        } else {
-            self.cfg.initial_members
-        };
-        let offset = self.cfg.reconfig_offset.max(1);
-        self.timeline
-            .get_or_insert_with(|| ConfigTimeline::new(voters, offset))
-    }
-
-    /// The member set governing `instance`, in rotation order.
-    fn members_of(&self, instance: u64, n: usize) -> Vec<ProcessId> {
-        match &self.timeline {
-            Some(t) => t.members_at(instance),
-            None => ProcessId::all(n).collect(),
-        }
-    }
-
-    /// The quorum size at `instance`.
-    fn majority_of(&self, instance: u64, n: usize) -> usize {
-        match &self.timeline {
-            Some(t) => t.majority_at(instance),
-            None => n / 2 + 1,
-        }
-    }
-
-    /// The coordinator of `round` at `instance` (rotation over the
-    /// governing member set).
-    fn coordinator_of(&self, instance: u64, round: u32, n: usize) -> ProcessId {
-        match &self.timeline {
-            Some(t) => t.coordinator_at(instance, round),
-            None => coordinator(round, n),
-        }
-    }
-
-    /// True when the membership governing `instance` is fully determined
-    /// by this process's contiguous replayed prefix (the config fence).
-    fn config_certain(&self, instance: u64) -> bool {
-        match &self.timeline {
-            Some(t) => t.certain_at(instance, self.replayed.watermark()),
-            None => true,
-        }
-    }
-
-    /// True when this process may vote (ack / estimate / propose) at
-    /// `instance`: its membership there must be certain, and it must be
-    /// a member. Non-members keep running as learners — they record
-    /// proposals, learn decisions and deliver, but never vote.
-    fn can_vote(&self, instance: u64, me: ProcessId) -> bool {
-        match &self.timeline {
-            Some(t) => {
-                t.certain_at(instance, self.replayed.watermark()) && t.is_member_at(instance, me)
-            }
-            None => true,
-        }
-    }
-
-    fn is_decided(&self, instance: u64) -> bool {
-        !self.decided_log.is_new(instance)
     }
 
     /// Per-instance state, created on first touch; a revived process
@@ -459,7 +291,7 @@ impl ConsensusModule {
     fn instance_entry(&mut self, instance: u64, now: VTime) -> &mut Instance {
         if !self.instances.contains_key(&instance) {
             let mut inst = Instance::new(now);
-            if let Some(rec) = self.recovered_votes.get(&instance) {
+            if let Some(rec) = self.log.recovered_vote(instance) {
                 inst.round = rec.round;
                 inst.estimate = Some(rec.value.clone());
                 inst.ts = rec.ts;
@@ -469,190 +301,28 @@ impl ConsensusModule {
         self.instances.get_mut(&instance).expect("just inserted")
     }
 
-    /// Writes `instance`'s vote record to stable storage, atomically
-    /// with the vote message of the enclosing handler.
-    fn persist_vote(
-        &self,
-        ctx: &mut FrameworkCtx<'_, '_>,
-        instance: u64,
-        round: u32,
-        ts: u32,
-        value: &Batch,
-    ) {
-        if cfg!(debug_assertions) && self.cfg.skip_vote_persist {
-            // Injected fault (fuzz-minimizer acceptance suite): the
-            // vote is acked but never reaches stable storage, so a
-            // crash-restart forgets its lock.
-            return;
-        }
-        let rec = VoteRecord {
-            round,
-            ts,
-            value: value.clone(),
-        };
-        ctx.persist(vote_key(instance), encode(&rec));
-    }
-
     /// Registers a decision locally: caches the value, raises
     /// [`Event::Decide`] and drops per-instance state. Keyed on the
-    /// replay log, so a revived process re-raises the decided prefix
-    /// learned through state transfer even though its voting fence
-    /// (`decided_log`) already covers it.
+    /// replay watermark, so a revived process re-raises the decided
+    /// prefix learned through state transfer even though its voting
+    /// fence already covers it.
     fn decide_local(&mut self, ctx: &mut FrameworkCtx<'_, '_>, instance: u64, value: Batch) {
-        if !self.replayed.is_new(instance) {
+        if !self.log.record(ctx, instance, &value) {
             return;
         }
-        self.replayed.complete(instance);
-        let fence_before = self.decided_log.watermark();
-        self.decided_log.complete(instance);
-        self.persist_fence(ctx, fence_before);
-        self.decisions.insert(instance, value.clone());
-        self.fold.absorb(instance, &value);
-        self.note_reconfigs(ctx, instance, &value);
-        self.maybe_compact(ctx);
-        if self.cfg.snapshot_interval == 0 {
-            // No snapshots: bound the cache by blind eviction (the
-            // pre-compaction behaviour — evicted prefixes become
-            // unservable to joiners).
-            while self.decisions.len() > self.cfg.decision_cache {
-                self.decisions.pop_first();
-            }
-        }
+        self.raise_activated(ctx);
         self.instances.remove(&instance);
         ctx.bump("consensus.decided", 1);
         ctx.trace_span("consensus", instance, "decided", 0);
         ctx.raise(Event::Decide { instance, value });
     }
 
-    /// Persists the voting fence if it advanced past `fence_before` and
-    /// garbage-collects the vote records the advance makes obsolete.
-    fn persist_fence(&mut self, ctx: &mut FrameworkCtx<'_, '_>, fence_before: u64) {
-        let fence_after = self.decided_log.watermark();
-        if fence_after > fence_before {
-            ctx.persist(STABLE_WATERMARK_KEY, encode(&fence_after));
-            for k in fence_before..fence_after {
-                ctx.unpersist(vote_key(k));
-            }
+    /// Raises [`Event::ConfigActive`] for every configuration the log
+    /// activated (the failure detector re-points its monitor set).
+    fn raise_activated(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
+        for (stamp, _) in self.log.take_activated() {
+            ctx.raise(Event::ConfigActive { stamp });
         }
-    }
-
-    /// Registers the reconfiguration decided at `decided_at`: updates
-    /// the timeline, persists the full history atomically with the
-    /// enclosing handler, and reports the new version's stamp — to the
-    /// harness (config-aware oracle) and on the stack bus (the failure
-    /// detector re-points its monitor set).
-    fn register_reconfig(
-        &mut self,
-        ctx: &mut FrameworkCtx<'_, '_>,
-        decided_at: u64,
-        change: ConfigChange,
-    ) {
-        if cfg!(debug_assertions) && self.cfg.skip_config_fence {
-            // Injected fault (reconfig oracle acceptance suite): the
-            // decided change is ignored, so this process keeps voting
-            // with the initial configuration's quorum and coordinator
-            // math and never reports a config stamp.
-            return;
-        }
-        let n = ctx.n();
-        let Some(stamp) = self.timeline_mut(n).register(decided_at, change) else {
-            return; // duplicate (replay / snapshot overlap)
-        };
-        let history = self.timeline.as_ref().expect("just touched").reconfigs();
-        let mut w = WireWriter::new();
-        encode_reconfigs(&history, &mut w);
-        ctx.persist(STABLE_CONFIG_KEY, w.finish());
-        ctx.bump("consensus.reconfigs", 1);
-        ctx.trace_span("consensus", decided_at, "config_active", stamp.version);
-        ctx.note_config(stamp.clone());
-        ctx.raise(Event::ConfigActive { stamp });
-    }
-
-    /// Scans a freshly decided batch for reconfiguration commands, then
-    /// registers every pending command the contiguous replayed prefix
-    /// now covers — in decided-instance order, so configuration
-    /// versions are numbered identically on every process regardless of
-    /// the order pipelined decisions landed in.
-    fn note_reconfigs(&mut self, ctx: &mut FrameworkCtx<'_, '_>, instance: u64, value: &Batch) {
-        for msg in value.msgs() {
-            if let Some(change) = parse_reconfig(&msg.payload) {
-                // First command in the batch wins; the submission path
-                // spaces reconfigs out so this is the rare tie-break.
-                self.pending_reconfigs.entry(instance).or_insert(change);
-            }
-        }
-        while let Some((&d, &change)) = self.pending_reconfigs.first_key_value() {
-            if d >= self.replayed.watermark() {
-                break; // not contiguous yet: an earlier decision is missing
-            }
-            self.pending_reconfigs.remove(&d);
-            self.register_reconfig(ctx, d, change);
-        }
-    }
-
-    /// Materializes a snapshot when the fold ran `snapshot_interval`
-    /// instances past the previous one — or early, whenever the decision
-    /// cache would otherwise have to evict an uncompacted decision
-    /// (compaction replaces eviction, so every instance a joiner may
-    /// miss is servable from either the log tail or the snapshot).
-    fn maybe_compact(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
-        let interval = self.cfg.snapshot_interval;
-        if interval == 0 {
-            return;
-        }
-        let folded = self.fold.next_instance();
-        let base = self.snapshot.as_ref().map_or(0, |s| s.last_included + 1);
-        let overflow = self.decisions.len() > self.cfg.decision_cache;
-        if folded < base + interval && !(overflow && folded > base) {
-            return;
-        }
-        let Some(mut snap) = self.fold.snapshot() else {
-            return;
-        };
-        // The snapshot carries the reconfiguration history decided
-        // within the prefix it covers: every registered change is below
-        // the replayed watermark, which the fold never outruns.
-        if let Some(t) = &self.timeline {
-            snap.reconfigs = t.reconfigs();
-        }
-        ctx.bump("consensus.snapshots", 1);
-        ctx.trace_span("consensus", snap.last_included, "snapshot_offer", 0);
-        self.set_snapshot(ctx, snap, false);
-    }
-
-    /// Adopts `snap` as this process's serving snapshot: persists it,
-    /// evicts the oldest *compacted* decisions down to the cache bound,
-    /// and reports the stamp to the harness.
-    ///
-    /// Only snapshot-covered entries are evicted, and only while the
-    /// cache overflows — the recent log tail stays as deep as
-    /// `decision_cache` allows, so small gaps (a briefly partitioned
-    /// peer) are still served as cheap `StateTransfer` replies and the
-    /// snapshot path is reserved for deep ones.
-    fn set_snapshot(&mut self, ctx: &mut FrameworkCtx<'_, '_>, snap: Snapshot, installed: bool) {
-        let bytes = encode(&snap);
-        // Durability is not free: materializing charges the encode
-        // cost, installing charges decode + restore + re-encode for
-        // serving — both proportional to the snapshot's encoded size
-        // (zero under the default calibration; see docs/COST_MODEL.md).
-        let cost = if installed {
-            ctx.costs().snapshot_install_cost(bytes.len())
-        } else {
-            ctx.costs().snapshot_encode_cost(bytes.len())
-        };
-        ctx.charge_durability(cost);
-        ctx.persist(STABLE_SNAPSHOT_KEY, bytes.clone());
-        while self.decisions.len() > self.cfg.decision_cache {
-            match self.decisions.first_key_value() {
-                Some((&k, _)) if k <= snap.last_included => {
-                    self.decisions.pop_first();
-                }
-                _ => break, // uncompacted entries are never dropped
-            }
-        }
-        ctx.note_snapshot(stamp_of(&snap, installed));
-        self.snapshot_bytes = bytes;
-        self.snapshot = Some(snap);
     }
 
     /// Seeing traffic for instance `seen` while older instances are
@@ -665,7 +335,7 @@ impl ConsensusModule {
     /// reply (or while a snapshot download runs) sends nothing, unless
     /// the pull went unanswered for [`PULL_RETRY`].
     fn maybe_request_gap(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, seen: u64) {
-        let watermark = self.decided_log.watermark();
+        let watermark = self.log.fence();
         // Instances inside the pipeline window above the contiguous
         // decided watermark are normally in flight, not missing.
         let expected = watermark + self.cfg.pipeline_depth.max(1) - 1;
@@ -674,36 +344,31 @@ impl ConsensusModule {
         }
         let now = ctx.now();
         let waiting = self.pull.is_some_and(|p| now.since(p.sent) < PULL_RETRY);
-        if waiting || self.download.in_progress(now, JOIN_RETRY) {
+        if waiting || self.log.downloading(now) {
             return;
         }
         self.pull_from(ctx, from);
     }
 
-    /// Sends the catch-up pull to `to`: a range request for the decided
-    /// values from the replayed watermark on, served by
-    /// [`serve_join`](Self::serve_join). A pull is rejoin progress too,
-    /// so it defers the next rejoin announcement.
+    /// Sends the catch-up pull to `to` (see
+    /// [`ReplicaLog::pull_from`]) and tracks it as the one in flight.
     fn pull_from(&mut self, ctx: &mut FrameworkCtx<'_, '_>, to: ProcessId) {
-        let watermark = self.replayed.watermark();
-        let now = ctx.now();
+        let watermark = self.log.replayed();
         self.pull = Some(Pull {
             to,
             watermark,
-            sent: now,
+            sent: ctx.now(),
         });
-        self.last_join = now;
         ctx.bump("consensus.gap_requests", 1);
         ctx.trace_span("consensus", watermark, "gap_pull", u64::from(to.0));
-        let msg = ConsensusMsg::JoinRequest { watermark };
-        ctx.send_net(to, "consensus.join_request", &msg);
+        self.log.pull_from(ctx, to);
     }
 
     /// Coordinator-side: a majority acked our proposal — decide and
     /// disseminate.
     fn try_conclude(&mut self, ctx: &mut FrameworkCtx<'_, '_>, instance: u64) {
         let n = ctx.n();
-        let majority = self.majority_of(instance, n);
+        let majority = self.log.majority_of(instance, n);
         let Some(inst) = self.instances.get(&instance) else {
             return;
         };
@@ -736,9 +401,9 @@ impl ConsensusModule {
     fn try_propose_from_estimates(&mut self, ctx: &mut FrameworkCtx<'_, '_>, instance: u64) {
         let n = ctx.n();
         let me = ctx.pid();
-        let members = self.members_of(instance, n);
+        let members = self.log.members_of(instance, n);
         let majority = members.len() / 2 + 1;
-        if !self.can_vote(instance, me) {
+        if !self.log.can_vote(instance, me) {
             return; // learner, or membership at `instance` still uncertain
         }
         let Some(inst) = self.instances.get_mut(&instance) else {
@@ -788,7 +453,8 @@ impl ConsensusModule {
         ctx.trace_span("consensus", instance, "proposed", u64::from(round));
         // Coordinator self-ack: durable before (atomically with) the
         // proposal leaves this process.
-        self.persist_vote(ctx, instance, round, round + 1, &value);
+        self.log
+            .persist_vote(ctx, instance, round, round + 1, &value);
         self.broadcast_proposal(ctx, instance, round, value);
     }
 
@@ -825,9 +491,9 @@ impl ConsensusModule {
         let n = ctx.n();
         let me = ctx.pid();
         let now = ctx.now();
-        let members = self.members_of(instance, n);
+        let members = self.log.members_of(instance, n);
         let coord_of = |round: u32| members[round as usize % members.len()];
-        let votable = self.can_vote(instance, me);
+        let votable = self.log.can_vote(instance, me);
         let Some(inst) = self.instances.get_mut(&instance) else {
             return;
         };
@@ -874,14 +540,14 @@ impl ConsensusModule {
     }
 
     fn on_propose_event(&mut self, ctx: &mut FrameworkCtx<'_, '_>, instance: u64, value: Batch) {
-        if self.is_decided(instance) {
+        if self.log.is_decided(instance) {
             return;
         }
         let n = ctx.n();
         let me = ctx.pid();
         let now = ctx.now();
-        let members = self.members_of(instance, n);
-        let votable = self.can_vote(instance, me);
+        let members = self.log.members_of(instance, n);
+        let votable = self.log.can_vote(instance, me);
         let inst = self.instance_entry(instance, now);
         if inst.estimate.is_none() {
             inst.estimate = Some(value);
@@ -907,7 +573,7 @@ impl ConsensusModule {
             inst.acks.insert(me);
             ctx.bump("consensus.proposals", 1);
             ctx.trace_span("consensus", instance, "proposed", 0);
-            self.persist_vote(ctx, instance, 0, 1, &v);
+            self.log.persist_vote(ctx, instance, 0, 1, &v);
             self.broadcast_proposal(ctx, instance, 0, v);
         } else if members[inst.round as usize % members.len()] == me {
             // We are (now) the coordinator of a later round and were only
@@ -928,15 +594,15 @@ impl ConsensusModule {
         round: u32,
         value: Batch,
     ) {
-        let certain = self.config_certain(instance);
-        if certain && self.coordinator_of(instance, round, ctx.n()) != from {
+        let certain = self.log.config_certain(instance);
+        if certain && self.log.coordinator_of(instance, round, ctx.n()) != from {
             ctx.bump("consensus.bogus_proposals", 1);
             return; // only the round's coordinator may propose
         }
         self.maybe_request_gap(ctx, from, instance);
-        if self.is_decided(instance) {
+        if self.log.is_decided(instance) {
             // Help a lagging coordinator conclude.
-            if let Some(v) = self.decisions.get(&instance) {
+            if let Some(v) = self.log.decision(instance) {
                 let msg = ConsensusMsg::DecisionFull {
                     instance,
                     value: v.clone(),
@@ -945,7 +611,7 @@ impl ConsensusModule {
             }
             return;
         }
-        let votable = certain && self.can_vote(instance, ctx.pid());
+        let votable = certain && self.log.can_vote(instance, ctx.pid());
         let now = ctx.now();
         let inst = self.instance_entry(instance, now);
         if round < inst.round {
@@ -965,7 +631,8 @@ impl ConsensusModule {
             // future incarnation of this process honours the lock.
             inst.estimate = Some(value.clone());
             inst.ts = round + 1;
-            self.persist_vote(ctx, instance, round, round + 1, &value);
+            self.log
+                .persist_vote(ctx, instance, round, round + 1, &value);
             ctx.trace_span("consensus", instance, "voted", u64::from(round));
             let ack = ConsensusMsg::Ack { instance, round };
             ctx.send_net(from, "consensus.ack", &ack);
@@ -990,8 +657,8 @@ impl ConsensusModule {
         value: Batch,
         ts: u32,
     ) {
-        if self.is_decided(instance) {
-            if let Some(v) = self.decisions.get(&instance) {
+        if self.log.is_decided(instance) {
+            if let Some(v) = self.log.decision(instance) {
                 let msg = ConsensusMsg::DecisionFull {
                     instance,
                     value: v.clone(),
@@ -1000,7 +667,7 @@ impl ConsensusModule {
             }
             return;
         }
-        if self.coordinator_of(instance, round, ctx.n()) != ctx.pid() {
+        if self.log.coordinator_of(instance, round, ctx.n()) != ctx.pid() {
             return; // misdirected
         }
         let now = ctx.now();
@@ -1037,7 +704,7 @@ impl ConsensusModule {
         instance: u64,
         round: u32,
     ) {
-        if self.is_decided(instance) {
+        if self.log.is_decided(instance) {
             return;
         }
         let Some(inst) = self.instances.get_mut(&instance) else {
@@ -1059,7 +726,7 @@ impl ConsensusModule {
         if origin != ctx.pid() {
             self.maybe_request_gap(ctx, origin, notice.instance);
         }
-        if self.is_decided(notice.instance) {
+        if self.log.is_decided(notice.instance) {
             return;
         }
         if let Some(value) = notice.full {
@@ -1089,173 +756,19 @@ impl ConsensusModule {
         }
     }
 
-    /// Broadcasts the rejoin announcement: "my replayed prefix ends at
-    /// `watermark`" (a freshly revived process says instance 0).
-    fn announce_join(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
-        self.last_join = ctx.now();
-        ctx.bump("consensus.join_requests", 1);
-        let msg = ConsensusMsg::JoinRequest {
-            watermark: self.replayed.watermark(),
-        };
-        ctx.broadcast_net("consensus.join_request", &msg);
-    }
-
-    /// Serves a peer's rejoin announcement. A gap the decision log
-    /// still covers is served as a bulk [`StateTransfer`] of decided
-    /// values (consecutive from `watermark`, bounded); a gap whose head
-    /// was compacted away falls back to a chunked [`SnapshotTransfer`]
-    /// — the log there is gone, the snapshot replaces it.
-    ///
-    /// With snapshotting disabled (`snapshot_interval == 0`) the old
-    /// limit applies: once a run outgrows `decision_cache`, the evicted
-    /// prefix is unservable and a joiner advertising instance 0 stalls
-    /// (`consensus.join_unservable` counts this).
-    ///
-    /// [`StateTransfer`]: ConsensusMsg::StateTransfer
-    /// [`SnapshotTransfer`]: ConsensusMsg::SnapshotTransfer
-    fn serve_join(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, watermark: u64) {
-        let frontier = self.replayed.watermark();
-        if frontier <= watermark {
-            return;
-        }
-        // The cheap path first: while the decision log still covers the
-        // head of the gap, a bulk value transfer beats re-shipping the
-        // whole snapshot (the log tail stays `decision_cache` deep).
-        let mut values = Vec::new();
-        for instance in watermark..frontier.min(watermark + MAX_TRANSFER) {
-            match self.decisions.get(&instance) {
-                Some(v) => values.push(v.clone()),
-                None => break, // evicted: cannot serve a gapless prefix
-            }
-        }
-        if !values.is_empty() {
-            ctx.bump("consensus.state_transfers", 1);
-            let msg = ConsensusMsg::StateTransfer {
-                from: watermark,
-                values,
-                frontier,
-            };
-            ctx.send_net(from, "consensus.state_transfer", &msg);
-            return;
-        }
-        if self
-            .snapshot
-            .as_ref()
-            .is_some_and(|s| watermark <= s.last_included)
-        {
-            // The gap begins inside the compacted prefix: ship the
-            // snapshot (first chunk; the joiner pulls the rest at
-            // round-trip pace), then it rejoins the log at
-            // `last_included + 1`.
-            self.serve_snapshot_chunk(ctx, from, 0);
-            return;
-        }
-        // Not silent: a joiner below our eviction horizon cannot be
-        // helped by this process (only possible with snapshots
-        // disabled, or for a gap above the snapshot with a hole in the
-        // local log).
-        ctx.bump("consensus.join_unservable", 1);
-    }
-
-    /// Sends one chunk of the serving snapshot to `from`.
-    fn serve_snapshot_chunk(
-        &mut self,
-        ctx: &mut FrameworkCtx<'_, '_>,
-        from: ProcessId,
-        offset: u32,
-    ) {
-        let Some(snap) = &self.snapshot else {
-            return;
-        };
-        let Some((total, chunk)) = chunk_of(&self.snapshot_bytes, offset) else {
-            return;
-        };
-        ctx.bump("consensus.snapshot_transfers", 1);
-        let msg = ConsensusMsg::SnapshotTransfer {
-            last_included: snap.last_included,
-            digest: snap.digest,
-            total,
-            offset,
-            chunk,
-            frontier: self.replayed.watermark(),
-        };
-        ctx.send_net(from, "consensus.snapshot_transfer", &msg);
-    }
-
-    /// Receiver side: absorbs one snapshot chunk through the shared
-    /// download state machine, pulling the next at round-trip pace; a
-    /// completed download is installed and chased with a `JoinRequest`
-    /// for the remaining log tail.
-    #[allow(clippy::too_many_arguments)]
-    fn absorb_snapshot_chunk(
-        &mut self,
-        ctx: &mut FrameworkCtx<'_, '_>,
-        from: ProcessId,
-        last_included: u64,
-        digest: u64,
-        total: u32,
-        offset: u32,
-        chunk: Bytes,
-        frontier: u64,
-    ) {
-        self.rejoin_target = self.rejoin_target.max(frontier);
-        let now = ctx.now();
-        let already_past = self.fold.next_instance() > last_included;
-        match self.download.absorb(
-            from,
-            last_included,
-            digest,
-            total,
-            offset,
-            &chunk,
-            now,
-            JOIN_RETRY,
-            already_past,
-        ) {
-            ChunkOutcome::Pull(offset) => {
-                ctx.bump("consensus.snapshot_pulls", 1);
-                let msg = ConsensusMsg::SnapshotPull {
-                    last_included,
-                    offset,
-                };
-                ctx.send_net(from, "consensus.snapshot_pull", &msg);
-            }
-            ChunkOutcome::Complete(snap) => {
-                self.install_snapshot(ctx, *snap);
-                // The completed download clocks the tail pull from the
-                // serving peer.
-                self.pull_from(ctx, from);
-            }
-            ChunkOutcome::Ignored => {}
-            ChunkOutcome::Corrupt => ctx.bump("consensus.snapshot_garbage", 1),
-        }
-    }
-
-    /// Installs a snapshot: fast-forwards the fold, replay log and
-    /// voting fence to `last_included + 1`, drops per-instance state the
-    /// snapshot made moot, adopts it for serving, and tells the stack
-    /// above (the abcast module skips the compacted prefix).
-    fn install_snapshot(&mut self, ctx: &mut FrameworkCtx<'_, '_>, snap: Snapshot) {
-        if !self.fold.install(&snap) {
-            return; // does not extend past what we already replayed
-        }
+    /// Installs a snapshot the log accepted (see
+    /// [`ReplicaLog::install_snapshot`]): drops per-instance state it made moot
+    /// and tells the stack above (the abcast module skips the compacted
+    /// prefix).
+    fn apply_snapshot(&mut self, ctx: &mut FrameworkCtx<'_, '_>, snap: Snapshot) {
         let next = snap.last_included + 1;
-        self.replayed.advance_to(next);
-        let fence_before = self.decided_log.watermark();
-        self.decided_log.advance_to(next);
-        self.persist_fence(ctx, fence_before);
-        self.instances = self.instances.split_off(&next);
-        self.recovered_votes = self.recovered_votes.split_off(&next);
-        self.pending_reconfigs = self.pending_reconfigs.split_off(&next);
-        // The snapshot replaces replay of the compacted prefix — the
-        // reconfiguration history it carries replaces scanning it.
-        for (d, change) in snap.reconfigs.clone() {
-            self.register_reconfig(ctx, d, change);
+        if !self.log.install_snapshot(ctx, snap) {
+            return;
         }
-        ctx.bump("consensus.snapshots_installed", 1);
-        ctx.trace_span("consensus", snap.last_included, "snapshot_install", 0);
-        self.set_snapshot(ctx, snap.clone(), true);
-        ctx.raise(Event::InstallSnapshot { snapshot: snap });
+        self.instances = self.instances.split_off(&next);
+        self.raise_activated(ctx);
+        let snapshot = self.log.snapshot().cloned().expect("just installed");
+        ctx.raise(Event::InstallSnapshot { snapshot });
     }
 
     /// Absorbs a bulk state transfer. The reply to the pull in flight
@@ -1269,9 +782,7 @@ impl ConsensusModule {
         from: ProcessId,
         first: u64,
         values: Vec<Batch>,
-        frontier: u64,
     ) {
-        self.rejoin_target = self.rejoin_target.max(frontier);
         for (i, value) in values.into_iter().enumerate() {
             self.decide_local(ctx, first + i as u64, value);
         }
@@ -1282,37 +793,14 @@ impl ConsensusModule {
         if clocked {
             self.pull = None;
         }
-        let mine = self.replayed.watermark();
-        if mine < self.rejoin_target {
-            if clocked {
-                self.pull_from(ctx, from);
-            }
-        } else if self.rejoining && mine >= self.decided_log.watermark() {
-            // Replay reached both the advertised frontier and our own
-            // pre-crash decided fence: rejoin complete.
-            self.rejoining = false;
-            ctx.bump("consensus.rejoins_completed", 1);
+        if self.log.still_behind(ctx) && clocked {
+            self.pull_from(ctx, from);
         }
     }
 
     fn sweep(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
         let now = ctx.now();
-        // Rejoin liveness: re-announce until the replayed prefix covers
-        // both the persisted decided fence and every frontier a state
-        // transfer advertised (replies can be lost to the same faults
-        // that caused the crash).
-        if self.rejoining {
-            let caught_up = self.replayed.watermark() >= self.decided_log.watermark()
-                && self.replayed.watermark() >= self.rejoin_target;
-            // A healthy snapshot download is progress too: do not spam
-            // re-announcements (and competing offers) while it runs.
-            let downloading = self.download.in_progress(now, JOIN_RETRY);
-            if caught_up {
-                self.rejoining = false;
-            } else if now.since(self.last_join) >= JOIN_RETRY && !downloading {
-                self.announce_join(ctx);
-            }
-        }
+        self.log.retry_rejoin(ctx);
         let progress = self.cfg.progress_timeout;
         let stuck: Vec<u64> = self
             .instances
@@ -1356,24 +844,13 @@ impl Microprotocol for ConsensusModule {
     }
 
     fn on_start(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
-        self.timeline_mut(ctx.n());
-        if self.rejoining {
-            // Revived process: restore the persisted snapshot first (the
-            // compacted prefix needs no replay), re-register the
-            // persisted reconfiguration history (re-reporting the stamps
-            // re-points the failure detector and re-confirms the config
-            // history to the harness), then advertise the replay
-            // frontier — instance 0 without a snapshot — and let peers
-            // stream the missing prefix back.
-            if let Some(snap) = self.restored.take() {
-                self.install_snapshot(ctx, snap);
-            }
-            let recovered = std::mem::take(&mut self.recovered_reconfigs);
-            for (d, change) in recovered {
-                self.register_reconfig(ctx, d, change);
-            }
-            self.announce_join(ctx);
+        // A revived process restores its persisted snapshot first (the
+        // compacted prefix needs no replay), then rejoins.
+        if let Some(snap) = self.log.start(ctx) {
+            self.apply_snapshot(ctx, snap);
         }
+        self.log.rejoin(ctx);
+        self.raise_activated(ctx);
         ctx.set_timer(self.cfg.sweep_interval, TAG_SWEEP);
     }
 
@@ -1396,7 +873,7 @@ impl Microprotocol for ConsensusModule {
                 let affected: Vec<u64> = self
                     .instances
                     .iter()
-                    .filter(|(k, inst)| self.coordinator_of(**k, inst.round, n) == *p)
+                    .filter(|(k, inst)| self.log.coordinator_of(**k, inst.round, n) == *p)
                     .map(|(k, _)| *k)
                     .collect();
                 for instance in affected {
@@ -1432,79 +909,31 @@ impl Microprotocol for ConsensusModule {
             } => self.on_net_estimate(ctx, from, instance, round, value, ts),
             ConsensusMsg::Ack { instance, round } => self.on_net_ack(ctx, from, instance, round),
             ConsensusMsg::DecisionRequest { instance } => {
-                if let Some(v) = self.decisions.get(&instance) {
+                if let Some(v) = self.log.decision(instance) {
                     let msg = ConsensusMsg::DecisionFull {
                         instance,
                         value: v.clone(),
                     };
                     ctx.send_net(from, "consensus.decision_full", &msg);
-                } else if self
-                    .snapshot
-                    .as_ref()
-                    .is_some_and(|s| instance <= s.last_included)
-                {
-                    // The requested decision was compacted away: no peer
-                    // can serve it as a value any more, but the snapshot
-                    // covers it. Offer the snapshot so a *live* lagging
-                    // process (a healed partition minority — not just a
-                    // restarted joiner) can leap past the compaction
-                    // horizon instead of stalling. Rate-limited: one
-                    // offer answers a run of retried requests.
-                    let now = ctx.now();
-                    if self.offer_limiter.allow(from, now, OFFER_SPACING) {
-                        self.serve_snapshot_chunk(ctx, from, 0);
-                    }
+                } else {
+                    self.log.offer_snapshot(ctx, from, instance);
                 }
             }
             ConsensusMsg::DecisionFull { instance, value } => {
                 self.decide_local(ctx, instance, value);
             }
-            ConsensusMsg::JoinRequest { watermark } => {
-                self.serve_join(ctx, from, watermark);
-            }
-            ConsensusMsg::StateTransfer {
-                from: first,
-                values,
-                frontier,
-            } => {
-                self.absorb_transfer(ctx, from, first, values, frontier);
-            }
-            ConsensusMsg::SnapshotTransfer {
-                last_included,
-                digest,
-                total,
-                offset,
-                chunk,
-                frontier,
-            } => {
-                self.absorb_snapshot_chunk(
-                    ctx,
-                    from,
-                    last_included,
-                    digest,
-                    total,
-                    offset,
-                    chunk,
-                    frontier,
-                );
-            }
-            ConsensusMsg::SnapshotPull {
-                last_included,
-                offset,
-            } => {
-                match &self.snapshot {
-                    // Exact match: serve the requested chunk.
-                    Some(snap) if snap.last_included == last_included => {
-                        self.serve_snapshot_chunk(ctx, from, offset);
-                    }
-                    // We compacted further since the joiner started; a
-                    // fresh offer supersedes the stale download.
-                    Some(snap) if snap.last_included > last_included => {
-                        self.serve_snapshot_chunk(ctx, from, 0);
-                    }
-                    _ => {}
+            ConsensusMsg::Recovery(m) => match self.log.on_message(ctx, from, m) {
+                Followup::Done => {}
+                Followup::Values { first, values } => {
+                    self.absorb_transfer(ctx, from, first, values);
                 }
-            }
+                Followup::Snapshot(snap) => {
+                    self.apply_snapshot(ctx, *snap);
+                    // The completed download clocks the tail pull from
+                    // the serving peer.
+                    self.pull_from(ctx, from);
+                }
+            },
         }
     }
 

@@ -1,7 +1,9 @@
 //! Consensus wire messages.
 
+pub use fortika_net::{coordinator, VoteRecord};
+
 use fortika_net::wire::{Wire, WireError, WireReader, WireWriter};
-use fortika_net::{Batch, ProcessId};
+use fortika_net::{Batch, RecoveryMsg};
 
 /// Messages exchanged by the consensus module.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,7 +40,7 @@ pub enum ConsensusMsg {
     /// Request for one decision value: the recovery path when a
     /// `DECISION` tag arrives without the matching proposal (and its
     /// sweep retry). Catch-up over a range uses
-    /// [`JoinRequest`](Self::JoinRequest) instead.
+    /// [`RecoveryMsg::JoinRequest`] instead.
     DecisionRequest {
         /// Consensus instance.
         instance: u64,
@@ -52,55 +54,9 @@ pub enum ConsensusMsg {
         /// The decided value.
         value: Batch,
     },
-    /// "My contiguous replayed prefix ends at `watermark`": broadcast
-    /// as the rejoin announcement of a (re)started process (which
-    /// advertises instance 0), and unicast as the catch-up range pull
-    /// of any process that is behind. Peers that are ahead answer with
-    /// a [`StateTransfer`](Self::StateTransfer), or with the snapshot
-    /// when `watermark` lies in their compacted prefix.
-    JoinRequest {
-        /// First instance the sender is missing.
-        watermark: u64,
-    },
-    /// Bulk catch-up reply: the decided values of the consecutive
-    /// instances `from, from+1, …`, plus the sender's own replay
-    /// frontier so the puller can keep pulling, one range per reply,
-    /// until it reaches the live edge.
-    StateTransfer {
-        /// Instance of `values[0]`.
-        from: u64,
-        /// Decided values of `from..from + values.len()`.
-        values: Vec<Batch>,
-        /// The sender's contiguous decided prefix length.
-        frontier: u64,
-    },
-    /// One chunk of a log-compaction snapshot, serving a joiner whose
-    /// gap starts below the sender's compacted prefix (the decided
-    /// values there are evicted; the snapshot replaces them). Chunks are
-    /// pulled at round-trip pace via [`SnapshotPull`](Self::SnapshotPull)
-    /// like `StateTransfer` batches; once complete, the joiner installs
-    /// the snapshot and resumes log catch-up at `last_included + 1`.
-    SnapshotTransfer {
-        /// Highest instance the snapshot covers.
-        last_included: u64,
-        /// Digest of the snapshot (integrity check across chunks).
-        digest: u64,
-        /// Total encoded snapshot size in bytes.
-        total: u32,
-        /// Offset of `chunk` within the encoded snapshot.
-        offset: u32,
-        /// The chunk bytes.
-        chunk: bytes::Bytes,
-        /// The sender's contiguous replay frontier (catch-up target).
-        frontier: u64,
-    },
-    /// Joiner-side request for the next snapshot chunk.
-    SnapshotPull {
-        /// Which snapshot is being pulled (its highest instance).
-        last_included: u64,
-        /// Byte offset of the requested chunk.
-        offset: u32,
-    },
+    /// Catch-up and snapshot transfer: the replica log's messages, on
+    /// tags 6–9 (see [`fortika_net::replica_log`]).
+    Recovery(RecoveryMsg),
 }
 
 const TAG_PROPOSE: u8 = 1;
@@ -108,10 +64,14 @@ const TAG_ESTIMATE: u8 = 2;
 const TAG_ACK: u8 = 3;
 const TAG_DECISION_REQUEST: u8 = 4;
 const TAG_DECISION_FULL: u8 = 5;
-const TAG_JOIN_REQUEST: u8 = 6;
-const TAG_STATE_TRANSFER: u8 = 7;
-const TAG_SNAPSHOT_TRANSFER: u8 = 8;
-const TAG_SNAPSHOT_PULL: u8 = 9;
+/// First of the four tags carrying [`RecoveryMsg`].
+const TAG_RECOVERY: u8 = 6;
+
+impl From<RecoveryMsg> for ConsensusMsg {
+    fn from(m: RecoveryMsg) -> Self {
+        ConsensusMsg::Recovery(m)
+    }
+}
 
 impl Wire for ConsensusMsg {
     fn encode(&self, w: &mut WireWriter) {
@@ -152,44 +112,7 @@ impl Wire for ConsensusMsg {
                 w.put_u64(*instance);
                 value.encode(w);
             }
-            ConsensusMsg::JoinRequest { watermark } => {
-                w.put_u8(TAG_JOIN_REQUEST);
-                w.put_u64(*watermark);
-            }
-            ConsensusMsg::StateTransfer {
-                from,
-                values,
-                frontier,
-            } => {
-                w.put_u8(TAG_STATE_TRANSFER);
-                w.put_u64(*from);
-                w.put_u64(*frontier);
-                values.encode(w);
-            }
-            ConsensusMsg::SnapshotTransfer {
-                last_included,
-                digest,
-                total,
-                offset,
-                chunk,
-                frontier,
-            } => {
-                w.put_u8(TAG_SNAPSHOT_TRANSFER);
-                w.put_u64(*last_included);
-                w.put_u64(*digest);
-                w.put_u32(*total);
-                w.put_u32(*offset);
-                w.put_u64(*frontier);
-                chunk.encode(w);
-            }
-            ConsensusMsg::SnapshotPull {
-                last_included,
-                offset,
-            } => {
-                w.put_u8(TAG_SNAPSHOT_PULL);
-                w.put_u64(*last_included);
-                w.put_u32(*offset);
-            }
+            ConsensusMsg::Recovery(m) => m.encode_at(TAG_RECOVERY, w),
         }
     }
 
@@ -217,27 +140,7 @@ impl Wire for ConsensusMsg {
                 instance: r.get_u64()?,
                 value: Batch::decode(r)?,
             }),
-            TAG_JOIN_REQUEST => Ok(ConsensusMsg::JoinRequest {
-                watermark: r.get_u64()?,
-            }),
-            TAG_STATE_TRANSFER => Ok(ConsensusMsg::StateTransfer {
-                from: r.get_u64()?,
-                frontier: r.get_u64()?,
-                values: Vec::<Batch>::decode(r)?,
-            }),
-            TAG_SNAPSHOT_TRANSFER => Ok(ConsensusMsg::SnapshotTransfer {
-                last_included: r.get_u64()?,
-                digest: r.get_u64()?,
-                total: r.get_u32()?,
-                offset: r.get_u32()?,
-                frontier: r.get_u64()?,
-                chunk: bytes::Bytes::decode(r)?,
-            }),
-            TAG_SNAPSHOT_PULL => Ok(ConsensusMsg::SnapshotPull {
-                last_included: r.get_u64()?,
-                offset: r.get_u32()?,
-            }),
-            t => Err(WireError::InvalidTag(t)),
+            t => RecoveryMsg::decode_at(t, TAG_RECOVERY, r).map(ConsensusMsg::Recovery),
         }
     }
 }
@@ -274,53 +177,12 @@ impl Wire for DecisionNotice {
     }
 }
 
-/// The coordinator of `round`: processes rotate in round-robin order,
-/// with `p1` coordinating round 0 of every instance (the property the
-/// monolithic stack's optimization O1 builds on).
-pub fn coordinator(round: u32, n: usize) -> ProcessId {
-    ProcessId((round as usize % n) as u16)
-}
-
-/// The crash-recovery stable record of one consensus instance: the
-/// round this process last voted (acked/adopted) in, the adoption
-/// timestamp of its estimate, and the estimate itself.
-///
-/// Chandra–Toueg safety hinges on a voter carrying its locked
-/// `(estimate, ts)` into every later round and never regressing to a
-/// lower round; a process revived with amnesia would break exactly that
-/// invariant, so this record is written to stable storage atomically
-/// with every vote and replayed into the fresh stack on restart.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VoteRecord {
-    /// Round of the last vote (lower-round proposals are refused).
-    pub round: u32,
-    /// Adoption timestamp of `value` (round + 1 at ack time).
-    pub ts: u32,
-    /// The locked estimate.
-    pub value: Batch,
-}
-
-impl Wire for VoteRecord {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.round);
-        w.put_u32(self.ts);
-        self.value.encode(w);
-    }
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(VoteRecord {
-            round: r.get_u32()?,
-            ts: r.get_u32()?,
-            value: Batch::decode(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
     use fortika_net::wire::{decode, encode};
-    use fortika_net::{AppMsg, MsgId};
+    use fortika_net::{AppMsg, MsgId, ProcessId};
 
     fn batch() -> Batch {
         Batch::normalize(vec![AppMsg::new(
@@ -352,24 +214,24 @@ mod tests {
                 instance: 7,
                 value: batch(),
             },
-            ConsensusMsg::JoinRequest { watermark: 0 },
-            ConsensusMsg::StateTransfer {
+            ConsensusMsg::Recovery(RecoveryMsg::JoinRequest { watermark: 0 }),
+            ConsensusMsg::Recovery(RecoveryMsg::StateTransfer {
                 from: 3,
                 values: vec![batch(), Batch::empty(), batch()],
                 frontier: 42,
-            },
-            ConsensusMsg::SnapshotTransfer {
+            }),
+            ConsensusMsg::Recovery(RecoveryMsg::SnapshotTransfer {
                 last_included: 63,
                 digest: 0xDEAD_BEEF,
                 total: 4097,
                 offset: 4096,
                 chunk: Bytes::from_static(b"tail byte"),
                 frontier: 80,
-            },
-            ConsensusMsg::SnapshotPull {
+            }),
+            ConsensusMsg::Recovery(RecoveryMsg::SnapshotPull {
                 last_included: 63,
                 offset: 4096,
-            },
+            }),
         ];
         for m in msgs {
             let bytes = encode(&m);

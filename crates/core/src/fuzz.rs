@@ -19,10 +19,10 @@
 //! [`FuzzCampaign::run`]: fortika_chaos::FuzzCampaign::run
 
 use fortika_chaos::{LoadPlan, RunOutcome, Scenario, ScriptedDriver};
-use fortika_net::{Cluster, ClusterConfig, ProcessId};
+use fortika_net::ClusterConfig;
 use fortika_sim::{VDur, VTime};
 
-use crate::stack::{build_nodes_with_windows, install_restart_factory, StackConfig, StackKind};
+use crate::stack::{provision_cluster, StackConfig, StackKind};
 
 /// Messages each fuzz run's load plan submits.
 const FUZZ_LOAD_MSGS: usize = 16;
@@ -46,27 +46,9 @@ pub fn run_fuzz_scenario(
     scenario: &Scenario,
     seed: u64,
 ) -> RunOutcome {
-    // Dynamic membership: `AddNode` scenarios need standby processes
-    // beyond the initial group, provisioned crashed (their add revives
-    // them) and configured as learners via `initial_members`.
-    let capacity = scenario.capacity(n);
-    let cfg = ClusterConfig::new(capacity, seed);
-    let mut stack_cfg = stack.clone();
-    stack_cfg.pipeline_depth = stack_cfg.pipeline_depth.max(scenario.pipeline_depth());
-    if !stack_cfg.dissemination.offloads() && stack_cfg.app_state.is_none() {
-        stack_cfg.dissemination = scenario.dissemination();
-    }
-    if !scenario.reconfigs().is_empty() && stack_cfg.initial_members == 0 {
-        stack_cfg.initial_members = n;
-    }
-    let windows = scenario.suspicion_windows();
-    let nodes = build_nodes_with_windows(kind, capacity, &stack_cfg, &windows);
-    let mut cluster = Cluster::new(cfg, nodes);
-    install_restart_factory(&mut cluster, kind, &stack_cfg, &windows);
-    for pid in n..capacity {
-        cluster.schedule_crash(ProcessId(pid as u16), VTime::ZERO);
-    }
-    scenario.apply(&mut cluster);
+    let cfg = ClusterConfig::new(n, seed);
+    let mut cluster = provision_cluster(kind, n, stack, Some(scenario), cfg);
+    let capacity = cluster.n();
 
     let horizon = scenario.horizon().max(VDur::millis(200));
     // Senders are the initial members only; standbys deliver (and the

@@ -4,14 +4,14 @@
 
 use fortika_chaos::{DeliveryOracle, OracleReport, ReconfigInjector, Scenario};
 use fortika_net::{
-    Cluster, ClusterApi, ClusterConfig, ConfigStamp, CostModel, Counters, Delivery, Harness,
-    NetModel, ProcessId, SnapshotStamp,
+    ClusterApi, ClusterConfig, ConfigStamp, CostModel, Counters, Delivery, Harness, NetModel,
+    ProcessId, SnapshotStamp,
 };
 use fortika_sim::stats::{mean_ci95, MeanCi};
 use fortika_sim::{VDur, VTime};
 use fortika_trace::{decompose_window, LatencyDecomposition, Trace, TraceConfig, WindowSpec};
 
-use crate::stack::{build_nodes_with_windows, StackConfig, StackKind};
+use crate::stack::{provision_cluster, StackConfig, StackKind};
 use crate::workload::{Workload, WorkloadDriver};
 
 /// Everything needed to run one experiment configuration.
@@ -74,65 +74,18 @@ impl Experiment {
     /// the delivery-invariant oracle audits every `adeliver` — safety
     /// violations land in [`RunReport::oracle`].
     pub fn run(&mut self) -> RunReport {
-        // Dynamic membership: a scenario with `AddNode` events needs
-        // standby processes beyond the initial group, so the cluster is
-        // provisioned at the scenario's capacity. Standbys boot crashed
-        // (revived by the restart their `AddNode` schedules) and start
-        // as learners via `initial_members`.
-        let capacity = self
-            .scenario
-            .as_ref()
-            .map(|s| s.capacity(self.n))
-            .unwrap_or(self.n);
-        let has_reconfigs = self
-            .scenario
-            .as_ref()
-            .is_some_and(|s| !s.reconfigs().is_empty());
-        let mut cluster_cfg = ClusterConfig::new(capacity, self.seed);
+        let mut cluster_cfg = ClusterConfig::new(self.n, self.seed);
         cluster_cfg.net = self.net.clone();
         cluster_cfg.cost = self.cost.clone();
         cluster_cfg.trace = self.trace.clone();
-        let windows = self
-            .scenario
-            .as_ref()
-            .map(|s| s.suspicion_windows())
-            .unwrap_or_default();
-        // A scenario may carry a windowed-sequencer depth (the chaos
-        // generator draws one so fault fuzzing also covers pipelined
-        // runs); the deeper of the two requests wins, so an explicit
-        // stack_config override is never silently weakened.
-        let mut stack = self.stack.clone();
-        if let Some(scenario) = &self.scenario {
-            stack.pipeline_depth = stack.pipeline_depth.max(scenario.pipeline_depth());
-            // Same upgrade-only rule for the dissemination axis: a
-            // scenario-drawn Ring/Tree is adopted only when the stack
-            // is at the Direct default (an explicit override is never
-            // silently replaced) and no app-state fold is configured
-            // (offloaded runs fold descriptors, not app payloads).
-            if !stack.dissemination.offloads() && stack.app_state.is_none() {
-                stack.dissemination = scenario.dissemination();
-            }
-        }
-        if has_reconfigs && stack.initial_members == 0 {
-            // Only the original group votes; standbys (and anyone a
-            // log-decided `Add` later promotes) start as learners.
-            stack.initial_members = self.n;
-        }
-        let stack = &stack;
-        let nodes = build_nodes_with_windows(self.kind, capacity, stack, &windows);
-        let mut cluster = Cluster::new(cluster_cfg, nodes);
-        if let Some(scenario) = &self.scenario {
-            // Crash-recovery support: scenarios may revive crashed
-            // processes, which needs a factory for fresh stacks.
-            crate::stack::install_restart_factory(&mut cluster, self.kind, stack, &windows);
-            // Standbys are down until their `AddNode` revives them —
-            // crashed before the scenario's own events are applied so
-            // the revival always finds them crashed.
-            for pid in self.n..capacity {
-                cluster.schedule_crash(ProcessId(pid as u16), VTime::ZERO);
-            }
-            scenario.apply(&mut cluster);
-        }
+        let mut cluster = provision_cluster(
+            self.kind,
+            self.n,
+            &self.stack,
+            self.scenario.as_ref(),
+            cluster_cfg,
+        );
+        let capacity = cluster.n();
 
         let window_start = VTime::ZERO + self.warmup;
         let window_end = window_start + self.measure;

@@ -2,12 +2,14 @@
 //! the shared flow-control microprotocol.
 
 use fortika_abcast::{AbcastConfig, AbcastModule};
+use fortika_chaos::Scenario;
 use fortika_consensus::{ConsensusConfig, ConsensusModule};
 use fortika_fd::{FdConfig, FdModule, HeartbeatFd, OverlayFd, SuspicionWindow};
 use fortika_framework::CompositeStack;
 use fortika_mono::{MonoConfig, MonoNode, MonoOptimizations};
 use fortika_net::{
-    AppStateFactory, Cluster, Dissemination, Node, NodeFactory, ProcessId, StableStore,
+    AppStateFactory, Cluster, ClusterConfig, Dissemination, Node, NodeFactory, ProcessId,
+    StableStore,
 };
 use fortika_rbcast::{RbcastConfig, RbcastModule};
 use fortika_sim::VTime;
@@ -324,4 +326,56 @@ pub fn install_restart_factory(
 ) {
     let n = cluster.n();
     cluster.set_node_factory(node_factory(kind, n, cfg.clone(), windows.to_vec()));
+}
+
+/// Builds the cluster for one run of `n` `kind` stacks, provisioned for
+/// `scenario` when one is given:
+///
+/// * standby capacity for its `AddNode` events: the cluster has
+///   `scenario.capacity(n)` processes, and the standbys start as learners
+///   (`initial_members = n` for reconfiguration runs);
+/// * its windowed-sequencer depth and dissemination, upgrade-only: the
+///   deeper depth wins, and a drawn Ring/Tree replaces only the Direct
+///   default without an app-state fold (offloaded runs fold
+///   descriptors), so an explicit override is never silently weakened;
+/// * its scripted suspicion windows and a restart factory, so it may
+///   revive crashed processes;
+/// * standbys crashed at time zero, before its own events are applied,
+///   so the revival an `AddNode` schedules always finds them crashed.
+///
+/// Without a scenario it builds `n` plain stacks and installs no restart
+/// factory. `cluster_cfg` supplies the seed and models; its `n` is
+/// replaced by the capacity.
+pub fn provision_cluster(
+    kind: StackKind,
+    n: usize,
+    stack: &StackConfig,
+    scenario: Option<&Scenario>,
+    mut cluster_cfg: ClusterConfig,
+) -> Cluster {
+    let mut stack = stack.clone();
+    let capacity = scenario.map_or(n, |s| s.capacity(n));
+    let windows = scenario
+        .map(Scenario::suspicion_windows)
+        .unwrap_or_default();
+    if let Some(scenario) = scenario {
+        stack.pipeline_depth = stack.pipeline_depth.max(scenario.pipeline_depth());
+        if !stack.dissemination.offloads() && stack.app_state.is_none() {
+            stack.dissemination = scenario.dissemination();
+        }
+        if !scenario.reconfigs().is_empty() && stack.initial_members == 0 {
+            stack.initial_members = n;
+        }
+    }
+    cluster_cfg.n = capacity;
+    let nodes = build_nodes_with_windows(kind, capacity, &stack, &windows);
+    let mut cluster = Cluster::new(cluster_cfg, nodes);
+    if let Some(scenario) = scenario {
+        install_restart_factory(&mut cluster, kind, &stack, &windows);
+        for pid in n..capacity {
+            cluster.schedule_crash(ProcessId(pid as u16), VTime::ZERO);
+        }
+        scenario.apply(&mut cluster);
+    }
+    cluster
 }

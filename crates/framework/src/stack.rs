@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
 use fortika_net::wire::{Wire, WireReader, WireWriter};
-use fortika_net::{Admission, AppRequest, MsgId, Node, NodeCtx, ProcessId, TimerId};
+use fortika_net::{Admission, AppRequest, LogCtx, MsgId, Node, NodeCtx, ProcessId, TimerId};
 use fortika_sim::{VDur, VTime};
 
 use crate::events::{Event, EventKind};
@@ -166,23 +166,6 @@ impl FrameworkCtx<'_, '_> {
         self.node.persist(key, value);
     }
 
-    /// Deletes a stable-store key.
-    pub fn unpersist(&mut self, key: u64) {
-        self.node.unpersist(key);
-    }
-
-    /// Reports a materialized or installed log-compaction snapshot to
-    /// the harness; see [`fortika_net::NodeCtx::note_snapshot`].
-    pub fn note_snapshot(&mut self, stamp: fortika_net::SnapshotStamp) {
-        self.node.note_snapshot(stamp);
-    }
-
-    /// Reports an activated configuration version to the harness; see
-    /// [`fortika_net::NodeCtx::note_config`].
-    pub fn note_config(&mut self, stamp: fortika_net::ConfigStamp) {
-        self.node.note_config(stamp);
-    }
-
     /// Increments a free-form protocol counter.
     pub fn bump(&mut self, name: &'static str, by: u64) {
         self.node.bump(name, by);
@@ -192,12 +175,6 @@ impl FrameworkCtx<'_, '_> {
     /// framework already charges per-dispatch costs).
     pub fn charge(&mut self, cost: VDur) {
         self.node.charge(cost);
-    }
-
-    /// Charges durability CPU (stable writes, snapshot encode/install);
-    /// see [`fortika_net::NodeCtx::charge_durability`].
-    pub fn charge_durability(&mut self, cost: VDur) {
-        self.node.charge_durability(cost);
     }
 
     /// The cluster's cost model, for modules that charge custom costs.
@@ -221,6 +198,49 @@ impl FrameworkCtx<'_, '_> {
         phase: &'static str,
         detail: u64,
     ) {
+        self.node.trace_span(stack, instance, phase, detail);
+    }
+}
+
+/// The replica log's view of a module context: module-framed sends,
+/// everything else delegated to the hosting process's [`NodeCtx`]. The
+/// stable-store deletes, durability charges and harness reports only the
+/// replica log makes are reached through this trait.
+impl LogCtx for FrameworkCtx<'_, '_> {
+    fn n(&self) -> usize {
+        self.node.n()
+    }
+    fn now(&self) -> VTime {
+        self.node.now()
+    }
+    fn costs(&self) -> &fortika_net::CostModel {
+        self.node.costs()
+    }
+    fn send_msg(&mut self, to: ProcessId, kind: &'static str, msg: &impl Wire) {
+        self.send_net(to, kind, msg);
+    }
+    fn broadcast_msg(&mut self, kind: &'static str, msg: &impl Wire) {
+        self.broadcast_net(kind, msg);
+    }
+    fn persist(&mut self, key: u64, value: Bytes) {
+        self.node.persist(key, value);
+    }
+    fn unpersist(&mut self, key: u64) {
+        self.node.unpersist(key);
+    }
+    fn charge_durability(&mut self, cost: VDur) {
+        self.node.charge_durability(cost);
+    }
+    fn note_snapshot(&mut self, stamp: fortika_net::SnapshotStamp) {
+        self.node.note_snapshot(stamp);
+    }
+    fn note_config(&mut self, stamp: fortika_net::ConfigStamp) {
+        self.node.note_config(stamp);
+    }
+    fn bump(&mut self, name: &'static str, by: u64) {
+        self.node.bump(name, by);
+    }
+    fn trace_span(&mut self, stack: &'static str, instance: u64, phase: &'static str, detail: u64) {
         self.node.trace_span(stack, instance, phase, detail);
     }
 }

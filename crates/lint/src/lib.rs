@@ -17,7 +17,7 @@
 //!   down the documented layer order;
 //! * **registry** — scenario-event, counter and violation registries
 //!   must stay wired end to end (no variant or name falls through a
-//!   wildcard).
+//!   wildcard), and stable-store key namespaces must stay distinct.
 //!
 //! Everything is hand-rolled and dependency-free in the spirit of
 //! `fortika_bench::json`: a char-level comment/string stripper, a

@@ -15,7 +15,14 @@
 //!   reads as eternally zero: the branch looks unreached, the sweep
 //!   column flatlines, and nothing fails. This rule cross-checks every
 //!   referenced counter name against the set of names some crate
-//!   actually produces (`bump`/`record_send` call sites).
+//!   actually produces (`bump`/`record_send` call sites, and the
+//!   per-stack `LogNames` tables the replica log reports under).
+//! * **Stable-store keys** — every layer of a stack writes the one
+//!   stable store of its process, namespaced by the key's high byte
+//!   (`N << 56`). Two layers sharing a high byte overwrite each other's
+//!   durable state, which only shows after a crash and restart (a
+//!   collision once let rbcast's sequence counter clobber the persisted
+//!   snapshot). This rule demands a distinct high byte per constant.
 //! * **Violations** — a [`Violation`] variant that `process()`,
 //!   `kind()` or `Display` does not name would dodge the trace-dump and
 //!   minimization paths: the oracle would report it, but the bounded
@@ -38,6 +45,8 @@ pub const RULE_SCENARIO: &str = "scenario-registry";
 pub const RULE_COUNTER: &str = "counter-registry";
 /// Rule id: `Violation` wiring.
 pub const RULE_VIOLATION: &str = "violation-registry";
+/// Rule id: stable-store key namespaces.
+pub const RULE_STABLE_KEY: &str = "stable-key";
 
 /// The functions every `ScenarioEvent` variant must be named in.
 /// `family` feeds the fuzz coverage matrix: a variant missing there
@@ -243,13 +252,22 @@ pub fn check_violations(src: &SourceFile, rel: &str, report: &mut Report) {
 }
 
 /// Collects counter names *produced* in `src`: string literals passed
-/// to `bump(` / `record_send(` — or to a `send(` wrapper, which is how
-/// the protocol modules register their per-kind message counters (the
-/// literal may sit on a later line, and for `send` it is not the first
-/// argument).
+/// to `bump(` / `record_send(` — or to a `send(` / `send_msg(` /
+/// `broadcast_msg(` call, which is how the protocol modules register
+/// their per-kind message counters (the literal may sit on a later line,
+/// and for a send it is not the first argument) — plus every dotted
+/// literal in a `LogNames { … }` table, the names a stack's replica log
+/// bumps and sends under.
 pub fn collect_produced(src: &SourceFile, out: &mut BTreeSet<String>) {
+    collect_log_names(src, out);
     let joined = src.code.join("\n");
-    for needle in ["bump(", "record_send(", "send("] {
+    for needle in [
+        "bump(",
+        "record_send(",
+        "send(",
+        "send_msg(",
+        "broadcast_msg(",
+    ] {
         let mut from = 0;
         while let Some(p) = joined[from..].find(needle) {
             let name_start = from + p;
@@ -266,6 +284,27 @@ pub fn collect_produced(src: &SourceFile, out: &mut BTreeSet<String>) {
                 }
             }
             from = at;
+        }
+    }
+}
+
+/// The dotted literals of every `LogNames { … }` table in `src` (the
+/// struct definition aside): the block runs from the line naming it to
+/// the line where its braces close, matched on the string-blind view.
+fn collect_log_names(src: &SourceFile, out: &mut BTreeSet<String>) {
+    for (start, line) in src.scan.iter().enumerate() {
+        if !line.contains("LogNames {") || line.contains("struct LogNames") {
+            continue;
+        }
+        let mut depth: i64 = 0;
+        for idx in start..src.scan.len() {
+            let literals = src.code[idx].split('"').skip(1).step_by(2);
+            out.extend(literals.filter(|l| l.contains('.')).map(str::to_string));
+            depth += src.scan[idx].matches(['{', '[']).count() as i64;
+            depth -= src.scan[idx].matches(['}', ']']).count() as i64;
+            if depth <= 0 {
+                break;
+            }
         }
     }
 }
@@ -385,6 +424,61 @@ pub fn coverage_keys(src: &SourceFile) -> Vec<(String, usize)> {
     out
 }
 
+/// Collects the stable-store key constants of `src` — `const NAME: u64
+/// = N << 56;` outside test code — as `(name, high byte N, 1-based
+/// line)`. `N` may be decimal or `0x` hex.
+pub fn collect_stable_keys(src: &SourceFile, out: &mut Vec<(String, u64, usize)>) {
+    for (idx, line) in src.scan.iter().enumerate() {
+        if src.in_test[idx] {
+            continue;
+        }
+        let Some(decl) = line.find("const ").map(|p| &line[p + "const ".len()..]) else {
+            continue;
+        };
+        let (Some(colon), Some(eq)) = (decl.find(':'), decl.find('=')) else {
+            continue;
+        };
+        let Some(expr) = decl[eq + 1..].trim().strip_suffix(';') else {
+            continue;
+        };
+        let Some(high) = expr.strip_suffix("<< 56").map(str::trim) else {
+            continue;
+        };
+        let parsed = match high.strip_prefix("0x") {
+            Some(hex) => u64::from_str_radix(hex, 16),
+            None => high.parse(),
+        };
+        if let Ok(byte) = parsed {
+            out.push((decl[..colon].trim().to_string(), byte, idx + 1));
+        }
+    }
+}
+
+/// Fails every stable-key constant whose high byte an earlier one
+/// (in `(file, line)` order) already claimed.
+pub fn check_stable_keys(keys: &[(String, u64, usize, String)], report: &mut Report) {
+    let mut claimed: Vec<&(String, u64, usize, String)> = Vec::new();
+    for key in keys {
+        let (name, byte, line, file) = key;
+        if let Some((first, _, first_line, first_file)) =
+            claimed.iter().copied().find(|k| k.1 == *byte)
+        {
+            report.findings.push(Finding {
+                rule: RULE_STABLE_KEY,
+                file: file.clone(),
+                line: *line,
+                message: format!(
+                    "stable-store key `{name}` uses high byte {byte}, already claimed by \
+                     `{first}` ({first_file}:{first_line}): a stack's layers share one stable \
+                     store, so the two would overwrite each other's durable state"
+                ),
+            });
+        } else {
+            claimed.push(key);
+        }
+    }
+}
+
 /// Cross-checks every referenced counter name against the produced set.
 pub fn check_counter_names(
     referenced: &[(String, usize, String)], // (name, line, file)
@@ -418,8 +512,10 @@ pub fn check(root: &Path, report: &mut Report) -> std::io::Result<()> {
     check_violations(&oracle, &crate::rel_label(root, &oracle_path), report);
 
     // Produced counters: every .rs file in the workspace (tests and
-    // examples included — producers can live anywhere).
+    // examples included — producers can live anywhere). Stable-store
+    // keys: the library sources of every crate.
     let mut produced = BTreeSet::new();
+    let mut keys = Vec::new();
     let mut all_rs = Vec::new();
     for dir in ["crates", "src", "tests", "examples"] {
         crate::walk_rs(&root.join(dir), &mut all_rs)?;
@@ -427,7 +523,14 @@ pub fn check(root: &Path, report: &mut Report) -> std::io::Result<()> {
     for path in &all_rs {
         let src = SourceFile::load(path)?;
         collect_produced(&src, &mut produced);
+        let rel = crate::rel_label(root, path);
+        if rel.starts_with("crates/") && rel.contains("/src/") {
+            let mut found = Vec::new();
+            collect_stable_keys(&src, &mut found);
+            keys.extend(found.into_iter().map(|(n, b, l)| (n, b, l, rel.clone())));
+        }
     }
+    check_stable_keys(&keys, report);
 
     // Referenced counters: the CoverageReport branch table, plus every
     // non-test `.event("…")` / `.kind("…")` lookup in the bench crate

@@ -9,7 +9,10 @@ use fortika_lint::determinism::{
     self, RULE_AMBIENT_RNG, RULE_THREAD, RULE_UNORDERED_ITER, RULE_WAIVER, RULE_WALL_CLOCK,
 };
 use fortika_lint::layering::{check_graph, parse_manifest};
-use fortika_lint::registry::{check_scenario_events, check_violations};
+use fortika_lint::registry::{
+    check_scenario_events, check_stable_keys, check_violations, collect_produced,
+    collect_stable_keys, RULE_STABLE_KEY,
+};
 use fortika_lint::report::Report;
 use fortika_lint::source::SourceFile;
 
@@ -136,4 +139,60 @@ fn registry_gaps_fire_and_wired_registries_pass() {
     check_scenario_events(&ok, "registry_ok.rs", &mut r);
     check_violations(&ok, "registry_ok.rs", &mut r);
     assert!(r.clean(), "{:?}", r.findings);
+}
+
+/// Stable keys of fixture `name`, labelled with the fixture name.
+fn stable_keys(name: &str) -> Vec<(String, u64, usize, String)> {
+    let src = SourceFile::load(&fixture(name)).unwrap();
+    let mut keys = Vec::new();
+    collect_stable_keys(&src, &mut keys);
+    keys.into_iter()
+        .map(|(n, b, l)| (n, b, l, name.to_string()))
+        .collect()
+}
+
+#[test]
+fn stable_key_collision_fires_once_on_the_later_constant() {
+    let keys = stable_keys("stable_key_bad.rs");
+    let found: Vec<(&str, u64)> = keys.iter().map(|k| (k.0.as_str(), k.1)).collect();
+    assert_eq!(
+        found,
+        vec![
+            ("STABLE_SNAPSHOT_KEY", 3),
+            ("STABLE_SEQ_KEY", 3),
+            ("STABLE_CONFIG_KEY", 0x13)
+        ]
+    );
+    let mut r = Report::default();
+    check_stable_keys(&keys, &mut r);
+    assert_eq!(rules(&r), vec![RULE_STABLE_KEY], "{:?}", r.findings);
+    assert_eq!(r.findings[0].line, 5);
+    assert!(r.findings[0].message.contains("`STABLE_SEQ_KEY`"));
+    assert!(r.findings[0].message.contains("`STABLE_SNAPSHOT_KEY`"));
+
+    // Across files too: the same byte in another crate collides.
+    let mut both = stable_keys("stable_key_ok.rs");
+    both.push(("OTHER_KEY".to_string(), 2, 1, "other.rs".to_string()));
+    let mut r = Report::default();
+    check_stable_keys(&both, &mut r);
+    assert_eq!(rules(&r), vec![RULE_STABLE_KEY], "{:?}", r.findings);
+    assert_eq!(r.findings[0].file, "other.rs");
+}
+
+#[test]
+fn distinct_stable_keys_pass_and_log_names_tables_are_produced() {
+    let keys = stable_keys("stable_key_ok.rs");
+    assert_eq!(keys.len(), 2);
+    let mut r = Report::default();
+    check_stable_keys(&keys, &mut r);
+    assert!(r.clean(), "{:?}", r.findings);
+
+    let src = SourceFile::load(&fixture("stable_key_ok.rs")).unwrap();
+    let mut produced = std::collections::BTreeSet::new();
+    collect_produced(&src, &mut produced);
+    let names: Vec<&str> = produced.iter().map(|s| s.as_str()).collect();
+    assert_eq!(
+        names,
+        vec!["demo.join_request", "demo.reconfigs", "demo.state_transfer"]
+    );
 }

@@ -35,3 +35,22 @@ fn workspace_is_lint_clean() {
         report.crates_checked
     );
 }
+
+/// The `stable-key` rule sees every namespace the replica-log docs list:
+/// high bytes 1–4 (replica log), 5 (rbcast) and 6 (abcast), each once.
+#[test]
+fn stable_key_rule_sees_every_documented_namespace() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut bytes = Vec::new();
+    for file in [
+        "crates/net/src/replica_log.rs",
+        "crates/rbcast/src/module.rs",
+        "crates/abcast/src/module.rs",
+    ] {
+        let src = fortika_lint::source::SourceFile::load(&root.join(file)).unwrap();
+        let mut keys = Vec::new();
+        fortika_lint::registry::collect_stable_keys(&src, &mut keys);
+        bytes.extend(keys.into_iter().map(|(_, byte, _)| byte));
+    }
+    assert_eq!(bytes, vec![1, 2, 3, 4, 5, 6]);
+}

@@ -17,6 +17,10 @@
 //! stack (50 % at n = 3, 75 % at n = 7). Each optimization can be
 //! toggled individually through [`MonoOptimizations`] for the ablation
 //! benchmarks.
+//!
+//! Crash-recovery, log compaction, snapshot transfer and reconfiguration
+//! are the replica log both stacks share ([`fortika_net::replica_log`]);
+//! see [`MonoNode`] for what the node does with its events.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,9 +6,10 @@
 //! [`MonoMsg::AckDiff`] carries an ack *and* freshly abcast application
 //! messages riding to the coordinator (optimization O2).
 
-use bytes::Bytes;
+pub use fortika_net::VoteRecord;
+
 use fortika_net::wire::{Wire, WireError, WireReader, WireWriter};
-use fortika_net::{AppMsg, Batch};
+use fortika_net::{AppMsg, Batch, RecoveryMsg};
 
 /// A decision announcement for one instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,51 +98,9 @@ pub enum MonoMsg {
     },
     /// Failure-detector heartbeat.
     Heartbeat,
-    /// Rejoin announcement of a (re)started process: "my contiguous
-    /// applied prefix ends at `watermark`" (a revived node says 0).
-    JoinRequest {
-        /// First instance the sender is missing.
-        watermark: u64,
-    },
-    /// Bulk catch-up reply: decided values of consecutive instances
-    /// plus the sender's applied frontier, so the joiner chains pulls
-    /// until it reaches the live edge.
-    StateTransfer {
-        /// Instance of `values[0]`.
-        from: u64,
-        /// Decided values of `from..from + values.len()`.
-        values: Vec<Batch>,
-        /// The sender's contiguous applied prefix length.
-        frontier: u64,
-    },
-    /// One chunk of a log-compaction snapshot, serving a joiner whose
-    /// gap starts inside the sender's compacted prefix (the decided
-    /// values there are truncated; the snapshot replaces them). Chunks
-    /// are pulled at round-trip pace via
-    /// [`SnapshotPull`](Self::SnapshotPull); once complete, the joiner
-    /// installs the snapshot and resumes log catch-up at
-    /// `last_included + 1`.
-    SnapshotTransfer {
-        /// Highest instance the snapshot covers.
-        last_included: u64,
-        /// Digest of the snapshot (integrity check across chunks).
-        digest: u64,
-        /// Total encoded snapshot size in bytes.
-        total: u32,
-        /// Offset of `chunk` within the encoded snapshot.
-        offset: u32,
-        /// The chunk bytes.
-        chunk: Bytes,
-        /// The sender's contiguous applied frontier (catch-up target).
-        frontier: u64,
-    },
-    /// Joiner-side request for the next snapshot chunk.
-    SnapshotPull {
-        /// Which snapshot is being pulled (its highest instance).
-        last_included: u64,
-        /// Byte offset of the requested chunk.
-        offset: u32,
-    },
+    /// Catch-up and snapshot transfer: the replica log's messages, on
+    /// tags 9–12 (see [`fortika_net::replica_log`]).
+    Recovery(RecoveryMsg),
 }
 
 const TAG_STEP: u8 = 1;
@@ -152,10 +111,14 @@ const TAG_ESTIMATE: u8 = 5;
 const TAG_DECISION_REQUEST: u8 = 6;
 const TAG_HEARTBEAT: u8 = 7;
 const TAG_ESTIMATE_REQUEST: u8 = 8;
-const TAG_JOIN_REQUEST: u8 = 9;
-const TAG_STATE_TRANSFER: u8 = 10;
-const TAG_SNAPSHOT_TRANSFER: u8 = 11;
-const TAG_SNAPSHOT_PULL: u8 = 12;
+/// First of the four tags carrying [`RecoveryMsg`].
+const TAG_RECOVERY: u8 = 9;
+
+impl From<RecoveryMsg> for MonoMsg {
+    fn from(m: RecoveryMsg) -> Self {
+        MonoMsg::Recovery(m)
+    }
+}
 
 impl Wire for Decision {
     fn encode(&self, w: &mut WireWriter) {
@@ -239,44 +202,7 @@ impl Wire for MonoMsg {
             MonoMsg::Heartbeat => {
                 w.put_u8(TAG_HEARTBEAT);
             }
-            MonoMsg::JoinRequest { watermark } => {
-                w.put_u8(TAG_JOIN_REQUEST);
-                w.put_u64(*watermark);
-            }
-            MonoMsg::StateTransfer {
-                from,
-                values,
-                frontier,
-            } => {
-                w.put_u8(TAG_STATE_TRANSFER);
-                w.put_u64(*from);
-                w.put_u64(*frontier);
-                values.encode(w);
-            }
-            MonoMsg::SnapshotTransfer {
-                last_included,
-                digest,
-                total,
-                offset,
-                chunk,
-                frontier,
-            } => {
-                w.put_u8(TAG_SNAPSHOT_TRANSFER);
-                w.put_u64(*last_included);
-                w.put_u64(*digest);
-                w.put_u32(*total);
-                w.put_u32(*offset);
-                w.put_u64(*frontier);
-                chunk.encode(w);
-            }
-            MonoMsg::SnapshotPull {
-                last_included,
-                offset,
-            } => {
-                w.put_u8(TAG_SNAPSHOT_PULL);
-                w.put_u64(*last_included);
-                w.put_u32(*offset);
-            }
+            MonoMsg::Recovery(m) => m.encode_at(TAG_RECOVERY, w),
         }
     }
 
@@ -312,58 +238,8 @@ impl Wire for MonoMsg {
                 round: r.get_u32()?,
             }),
             TAG_HEARTBEAT => Ok(MonoMsg::Heartbeat),
-            TAG_JOIN_REQUEST => Ok(MonoMsg::JoinRequest {
-                watermark: r.get_u64()?,
-            }),
-            TAG_STATE_TRANSFER => Ok(MonoMsg::StateTransfer {
-                from: r.get_u64()?,
-                frontier: r.get_u64()?,
-                values: Vec::<Batch>::decode(r)?,
-            }),
-            TAG_SNAPSHOT_TRANSFER => Ok(MonoMsg::SnapshotTransfer {
-                last_included: r.get_u64()?,
-                digest: r.get_u64()?,
-                total: r.get_u32()?,
-                offset: r.get_u32()?,
-                frontier: r.get_u64()?,
-                chunk: Bytes::decode(r)?,
-            }),
-            TAG_SNAPSHOT_PULL => Ok(MonoMsg::SnapshotPull {
-                last_included: r.get_u64()?,
-                offset: r.get_u32()?,
-            }),
-            t => Err(WireError::InvalidTag(t)),
+            t => RecoveryMsg::decode_at(t, TAG_RECOVERY, r).map(MonoMsg::Recovery),
         }
-    }
-}
-
-/// The crash-recovery stable record of one instance: the round this
-/// process last voted in, the adoption timestamp of its estimate, and
-/// the estimate itself (same CT-safety role as the modular stack's
-/// `fortika_consensus::VoteRecord`, duplicated here because the
-/// monolithic crate deliberately depends on no protocol crate).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VoteRecord {
-    /// Round of the last vote (lower-round proposals are refused).
-    pub round: u32,
-    /// Adoption timestamp of `value` (round + 1 at ack time).
-    pub ts: u32,
-    /// The locked estimate.
-    pub value: Batch,
-}
-
-impl Wire for VoteRecord {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.round);
-        w.put_u32(self.ts);
-        self.value.encode(w);
-    }
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(VoteRecord {
-            round: r.get_u32()?,
-            ts: r.get_u32()?,
-            value: Batch::decode(r)?,
-        })
     }
 }
 
@@ -440,24 +316,24 @@ mod tests {
                 round: 2,
             },
             MonoMsg::Heartbeat,
-            MonoMsg::JoinRequest { watermark: 7 },
-            MonoMsg::StateTransfer {
+            MonoMsg::Recovery(RecoveryMsg::JoinRequest { watermark: 7 }),
+            MonoMsg::Recovery(RecoveryMsg::StateTransfer {
                 from: 0,
                 values: vec![batch(), Batch::empty()],
                 frontier: 9,
-            },
-            MonoMsg::SnapshotTransfer {
+            }),
+            MonoMsg::Recovery(RecoveryMsg::SnapshotTransfer {
                 last_included: 63,
                 digest: 0xFEED_F00D,
                 total: 9000,
                 offset: 8192,
                 chunk: Bytes::from_static(b"chunk"),
                 frontier: 99,
-            },
-            MonoMsg::SnapshotPull {
+            }),
+            MonoMsg::Recovery(RecoveryMsg::SnapshotPull {
                 last_included: 63,
                 offset: 8192,
-            },
+            }),
         ];
         for v in variants {
             let bytes = encode(&v);

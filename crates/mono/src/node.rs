@@ -40,42 +40,39 @@ use std::collections::{BTreeMap, BTreeSet};
 use bytes::Bytes;
 use fortika_fd::{FailureDetector, FdEvent};
 use fortika_net::flow::FlowWindow;
-use fortika_net::membership::{decode_reconfigs, encode_reconfigs};
-use fortika_net::snapshot::{chunk_of, stamp_of};
-use fortika_net::wire::{decode, encode, WireReader, WireWriter};
+use fortika_net::wire::decode;
 use fortika_net::{
-    parse_reconfig, Admission, AppMsg, AppRequest, AppState, Batch, ChunkOutcome, ConfigChange,
-    ConfigTimeline, MsgId, Node, NodeCtx, PeerRateLimiter, ProcessId, Snapshot, SnapshotDownload,
-    SnapshotFold, StableStore, TimerId, WatermarkSet,
+    relay_set, Admission, AppMsg, AppRequest, AppState, Batch, Followup, LogConfig, LogCtx,
+    LogNames, MsgId, Node, NodeCtx, PeerRateLimiter, ProcessId, ReplicaLog, Snapshot, StableStore,
+    TimerId, WatermarkSet,
 };
 use fortika_sim::{VDur, VTime};
 
-use crate::msg::{decision_full, Decision, MonoMsg, Proposal, VoteRecord};
+use crate::msg::{decision_full, Decision, MonoMsg, Proposal};
 
 const TAG_FD: u64 = 1;
 const TAG_SWEEP: u64 = 2;
 
-/// Stable-store key namespace tag of per-instance vote records.
-const STABLE_VOTE_TAG: u64 = 0x11 << 56;
-/// Stable-store key of the contiguous decided watermark.
-const STABLE_WATERMARK_KEY: u64 = 0x12 << 56;
-/// Stable-store key of the latest log-compaction snapshot.
-const STABLE_SNAPSHOT_KEY: u64 = 0x13 << 56;
-/// Stable-store key of the registered reconfiguration history.
-const STABLE_CONFIG_KEY: u64 = 0x14 << 56;
-
-/// Stable-store key of `instance`'s vote record.
-fn vote_key(instance: u64) -> u64 {
-    debug_assert!(instance < (1 << 56));
-    STABLE_VOTE_TAG | instance
-}
-
-/// Instances streamed per [`MonoMsg::StateTransfer`] reply.
-const MAX_TRANSFER: u64 = 16;
-/// Minimum spacing of rejoin re-announcements.
-const JOIN_RETRY: VDur = VDur::millis(300);
-/// Minimum spacing of snapshot offers toward one lagging peer.
-const OFFER_SPACING: VDur = VDur::millis(50);
+/// The names the replica log reports under in this stack.
+static LOG_NAMES: LogNames = LogNames {
+    stack: "mono",
+    kinds: [
+        "mono.join_request",
+        "mono.state_transfer",
+        "mono.snapshot_transfer",
+        "mono.snapshot_pull",
+    ],
+    reconfigs: "mono.reconfigs",
+    snapshots: "mono.snapshots",
+    snapshots_installed: "mono.snapshots_installed",
+    join_requests: "mono.join_requests",
+    state_transfers: "mono.state_transfers",
+    join_unservable: "mono.join_unservable",
+    snapshot_transfers: "mono.snapshot_transfers",
+    snapshot_pulls: "mono.snapshot_pulls",
+    snapshot_garbage: "mono.snapshot_garbage",
+    rejoins_completed: "mono.rejoins_completed",
+};
 
 /// Which of the three cross-module optimizations are enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,6 +190,18 @@ impl Default for MonoConfig {
     }
 }
 
+/// The replica log's share of the node configuration.
+fn log_config(cfg: &MonoConfig) -> LogConfig {
+    LogConfig {
+        decision_cache: cfg.decision_cache,
+        snapshot_interval: cfg.snapshot_interval,
+        initial_members: cfg.initial_members,
+        reconfig_offset: cfg.reconfig_offset,
+        skip_vote_persist: cfg.skip_vote_persist,
+        skip_config_fence: cfg.skip_config_fence,
+    }
+}
+
 struct Inst {
     round: u32,
     round_entered: VTime,
@@ -222,6 +231,16 @@ impl Inst {
 }
 
 /// The monolithic atomic broadcast stack (implements [`Node`]).
+///
+/// Crash recovery, log compaction, snapshot transfer and reconfiguration
+/// are the replica log both stacks share ([`fortika_net::replica_log`]).
+/// The node holds a [`ReplicaLog`] and follows up on its events: a
+/// recorded decision is buffered for in-order application, an activated
+/// configuration re-points the failure detector, and an installed
+/// snapshot seeds the delivery dedup, pool and flow window. Its catch-up
+/// trigger is its own: per-instance `DecisionRequest`s chained at most
+/// every 5 ms per peer, and a range pull chained the same way while a
+/// state transfer leaves it behind.
 pub struct MonoNode {
     cfg: MonoConfig,
     fd: Box<dyn FailureDetector>,
@@ -232,15 +251,8 @@ pub struct MonoNode {
     next_decide: u64,
     /// Delivered message ids, per sender (duplicate suppression).
     delivered: BTreeMap<ProcessId, WatermarkSet>,
-    /// Instances this process may no longer vote in (voting fence).
-    /// After a restart it is pre-loaded from the persisted watermark,
-    /// so it can run *ahead* of [`replayed`](Self::replayed).
-    decided_log: WatermarkSet,
-    /// Instances whose decision was recorded (buffered for in-order
-    /// application) in this incarnation — the replay progress. Always
-    /// starts at 0, so a revived node re-applies the decided prefix.
-    replayed: WatermarkSet,
-    decisions: BTreeMap<u64, Batch>,
+    /// Decided log, vote records, snapshots and configuration timeline.
+    log: ReplicaLog<MonoMsg>,
     decision_buffer: BTreeMap<u64, Batch>,
     /// Own messages not yet adelivered (flow control + re-forwarding).
     own_pending: BTreeMap<MsgId, AppMsg>,
@@ -250,48 +262,12 @@ pub struct MonoNode {
     last_progress: VTime,
     /// Per-peer rate limiter for gap/rejoin recovery requests.
     gap_limiter: PeerRateLimiter,
-    /// Highest instance number observed in any peer message — when it
-    /// runs ahead of `next_decide`, decisions were missed (partition,
-    /// loss) and gap recovery engages.
+    /// Highest instance number observed in any peer message (see
+    /// [`highest_seen`](Self::highest_seen)).
     highest_seen_instance: u64,
     /// Last heartbeat broadcast (the FD may tick faster than it wants
     /// heartbeats sent — e.g. chaos overlays).
     last_heartbeat: Option<VTime>,
-    /// Vote records recovered from stable storage (restart only).
-    recovered_votes: BTreeMap<u64, VoteRecord>,
-    /// Still catching up after a restart (rejoin announcements active).
-    rejoining: bool,
-    /// Highest applied frontier any state transfer advertised.
-    rejoin_target: u64,
-    /// When the last rejoin announcement went out.
-    last_join: VTime,
-    /// Deterministic fold of the contiguous applied prefix (feeds
-    /// snapshots; mirrors the delivery path's dedup exactly).
-    fold: SnapshotFold,
-    /// Latest materialized or installed snapshot, plus its cached
-    /// encoding for chunked serving.
-    snapshot: Option<Snapshot>,
-    snapshot_bytes: Bytes,
-    /// In-progress snapshot download (receiver side).
-    download: SnapshotDownload,
-    /// Rate limiter for snapshot offers toward lagging peers (a batch
-    /// of gap requests needs one offer, not eight).
-    offer_limiter: PeerRateLimiter,
-    /// Snapshot recovered from stable storage (restart only); installed
-    /// in `on_start`, where a handler context is available.
-    restored: Option<Snapshot>,
-    /// The versioned configuration history (log-decided membership).
-    /// Built at `on_start`; `None` answers every quorum question with
-    /// the static-group math.
-    timeline: Option<ConfigTimeline>,
-    /// Reconfiguration commands decided but not yet registered (a
-    /// change enters the timeline only once the contiguous replayed
-    /// prefix covers its decided instance, so versions are numbered in
-    /// decided order on every process).
-    pending_reconfigs: BTreeMap<u64, ConfigChange>,
-    /// Reconfiguration history recovered from stable storage (restart
-    /// only); registered in `on_start`.
-    recovered_reconfigs: Vec<(u64, ConfigChange)>,
 }
 
 impl MonoNode {
@@ -299,6 +275,7 @@ impl MonoNode {
     pub fn new(cfg: MonoConfig, fd: Box<dyn FailureDetector>) -> Self {
         let window = cfg.window;
         MonoNode {
+            log: ReplicaLog::new(&LOG_NAMES, log_config(&cfg)),
             cfg,
             fd,
             fd_scratch: Vec::new(),
@@ -306,9 +283,6 @@ impl MonoNode {
             flow: FlowWindow::new(window),
             next_decide: 0,
             delivered: BTreeMap::new(),
-            decided_log: WatermarkSet::default(),
-            replayed: WatermarkSet::default(),
-            decisions: BTreeMap::new(),
             decision_buffer: BTreeMap::new(),
             own_pending: BTreeMap::new(),
             pool: BTreeMap::new(),
@@ -317,19 +291,6 @@ impl MonoNode {
             gap_limiter: PeerRateLimiter::new(),
             highest_seen_instance: 0,
             last_heartbeat: None,
-            recovered_votes: BTreeMap::new(),
-            rejoining: false,
-            rejoin_target: 0,
-            last_join: VTime::ZERO,
-            fold: SnapshotFold::new(None),
-            snapshot: None,
-            snapshot_bytes: Bytes::new(),
-            download: SnapshotDownload::default(),
-            offer_limiter: PeerRateLimiter::new(),
-            restored: None,
-            timeline: None,
-            pending_reconfigs: BTreeMap::new(),
-            recovered_reconfigs: Vec::new(),
         }
     }
 
@@ -337,158 +298,34 @@ impl MonoNode {
     /// right after [`new`](Self::new)/[`resume`](Self::resume), before
     /// the node processes anything).
     pub fn with_app(mut self, app: Option<Box<dyn AppState>>) -> Self {
-        self.fold = SnapshotFold::new(app);
+        self.log.set_app(app);
         self
     }
 
-    /// Creates a node for a process revived after a crash: replays the
-    /// persisted vote records, decided watermark and log-compaction
-    /// snapshot out of `stable` (CT-safety state, see [`VoteRecord`])
-    /// and arms the rejoin announcement; everything else — the decided
-    /// tail, delivery logs, the pool — is rebuilt from peers via
-    /// [`MonoMsg::JoinRequest`] / [`MonoMsg::StateTransfer`] /
-    /// [`MonoMsg::SnapshotTransfer`].
+    /// Creates a node for a process revived after a crash: the replica
+    /// log reloads the persisted vote records, voting fence, snapshot and
+    /// reconfiguration history out of `stable` (CT-safety state, see
+    /// [`VoteRecord`](crate::msg::VoteRecord)) and announces the rejoin
+    /// at start; everything else — the decided tail, delivery logs, the
+    /// pool — is rebuilt from peers.
     pub fn resume(cfg: MonoConfig, fd: Box<dyn FailureDetector>, stable: &StableStore) -> Self {
-        let mut node = MonoNode::new(cfg, fd);
-        node.rejoining = true;
-        for (&key, bytes) in stable {
-            if key == STABLE_WATERMARK_KEY {
-                if let Ok(w) = decode::<u64>(bytes.clone()) {
-                    node.decided_log.advance_to(w);
-                }
-            } else if key == STABLE_SNAPSHOT_KEY {
-                if let Ok(snap) = decode::<Snapshot>(bytes.clone()) {
-                    node.restored = Some(snap);
-                }
-            } else if key == STABLE_CONFIG_KEY {
-                let mut r = WireReader::new(bytes.clone());
-                if let Ok(history) = decode_reconfigs(&mut r) {
-                    node.recovered_reconfigs = history;
-                }
-            } else if key >> 56 == STABLE_VOTE_TAG >> 56 {
-                if let Ok(rec) = decode::<VoteRecord>(bytes.clone()) {
-                    node.recovered_votes.insert(key & !STABLE_VOTE_TAG, rec);
-                }
-            }
-        }
-        node
-    }
-
-    /// The timeline, built on first use (the voter count defaults to
-    /// the cluster size; reconfig runs override it via
-    /// [`MonoConfig::initial_members`]).
-    fn timeline_mut(&mut self, n: usize) -> &mut ConfigTimeline {
-        let voters = if self.cfg.initial_members == 0 {
-            n
-        } else {
-            self.cfg.initial_members
-        };
-        let offset = self.cfg.reconfig_offset.max(1);
-        self.timeline
-            .get_or_insert_with(|| ConfigTimeline::new(voters, offset))
-    }
-
-    /// The member set governing `instance`, in rotation order.
-    fn members_of(&self, instance: u64, n: usize) -> Vec<ProcessId> {
-        match &self.timeline {
-            Some(t) => t.members_at(instance),
-            None => ProcessId::all(n).collect(),
+        let log = ReplicaLog::resume(&LOG_NAMES, log_config(&cfg), stable);
+        MonoNode {
+            log,
+            ..MonoNode::new(cfg, fd)
         }
     }
 
-    /// The quorum size at `instance`.
-    fn majority_of(&self, instance: u64, n: usize) -> usize {
-        match &self.timeline {
-            Some(t) => t.majority_at(instance),
-            None => n / 2 + 1,
-        }
-    }
-
-    /// The coordinator of `round` at `instance` (rotation over the
-    /// governing member set).
-    fn coordinator_of(&self, instance: u64, round: u32, n: usize) -> ProcessId {
-        match &self.timeline {
-            Some(t) => t.coordinator_at(instance, round),
-            None => Self::coordinator(round, n),
-        }
-    }
-
-    /// True when the membership governing `instance` is fully determined
-    /// by this node's contiguous replayed prefix (the config fence).
-    fn config_certain(&self, instance: u64) -> bool {
-        match &self.timeline {
-            Some(t) => t.certain_at(instance, self.replayed.watermark()),
-            None => true,
-        }
-    }
-
-    /// True when this node may vote (ack / estimate / propose) at
-    /// `instance`: its membership there must be certain, and it must be
-    /// a member. Non-members keep running as learners — they record
-    /// proposals, learn decisions and deliver, but never vote.
-    fn can_vote(&self, instance: u64, me: ProcessId) -> bool {
-        match &self.timeline {
-            Some(t) => {
-                t.certain_at(instance, self.replayed.watermark()) && t.is_member_at(instance, me)
-            }
-            None => true,
-        }
-    }
-
-    /// Registers the reconfiguration decided at `decided_at`: updates
-    /// the timeline, persists the full history atomically with the
-    /// enclosing handler, reports the new version's stamp to the
-    /// harness, and re-points the failure detector at the new member
-    /// set (whether this node heartbeats at all follows its own
+    /// Re-points the failure detector at each configuration the log
+    /// activated (whether this node heartbeats at all follows its own
     /// membership).
-    fn register_reconfig(&mut self, ctx: &mut NodeCtx<'_>, decided_at: u64, change: ConfigChange) {
-        if cfg!(debug_assertions) && self.cfg.skip_config_fence {
-            // Injected fault (reconfig oracle acceptance suite): the
-            // decided change is ignored, so this node keeps voting with
-            // the initial configuration's quorum and coordinator math
-            // and never reports a config stamp.
-            return;
+    fn repoint_fd(&mut self, ctx: &mut NodeCtx<'_>) {
+        for (stamp, at) in self.log.take_activated() {
+            self.fd
+                .set_members(&stamp.members, at, &mut self.fd_scratch);
+            ctx.bump("fd.member_updates", 1);
+            self.process_fd_events(ctx);
         }
-        let n = ctx.n();
-        let Some(stamp) = self.timeline_mut(n).register(decided_at, change) else {
-            return; // duplicate (replay / snapshot overlap)
-        };
-        let history = self.timeline.as_ref().expect("just touched").reconfigs();
-        let mut w = WireWriter::new();
-        encode_reconfigs(&history, &mut w);
-        ctx.persist(STABLE_CONFIG_KEY, w.finish());
-        ctx.bump("mono.reconfigs", 1);
-        ctx.trace_span("mono", decided_at, "config_active", stamp.version);
-        let now = ctx.now();
-        self.fd
-            .set_members(&stamp.members, now, &mut self.fd_scratch);
-        ctx.bump("fd.member_updates", 1);
-        ctx.note_config(stamp);
-        self.process_fd_events(ctx);
-    }
-
-    /// Scans a freshly decided batch for reconfiguration commands, then
-    /// registers every pending command the contiguous replayed prefix
-    /// now covers — in decided-instance order, so configuration
-    /// versions are numbered identically on every process regardless of
-    /// the order pipelined decisions landed in.
-    fn note_reconfigs(&mut self, ctx: &mut NodeCtx<'_>, instance: u64, value: &Batch) {
-        for msg in value.msgs() {
-            if let Some(change) = parse_reconfig(&msg.payload) {
-                self.pending_reconfigs.entry(instance).or_insert(change);
-            }
-        }
-        while let Some((&d, &change)) = self.pending_reconfigs.first_key_value() {
-            if d >= self.replayed.watermark() {
-                break; // not contiguous yet: an earlier decision is missing
-            }
-            self.pending_reconfigs.remove(&d);
-            self.register_reconfig(ctx, d, change);
-        }
-    }
-
-    fn is_decided(&self, instance: u64) -> bool {
-        !self.decided_log.is_new(instance)
     }
 
     /// Per-instance state, created on first touch; a revived node seeds
@@ -497,7 +334,7 @@ impl MonoNode {
     fn inst_entry(&mut self, instance: u64, now: VTime) -> &mut Inst {
         if !self.instances.contains_key(&instance) {
             let mut inst = Inst::new(now);
-            if let Some(rec) = self.recovered_votes.get(&instance) {
+            if let Some(rec) = self.log.recovered_vote(instance) {
                 inst.round = rec.round;
                 inst.estimate = Some(rec.value.clone());
                 inst.ts = rec.ts;
@@ -507,46 +344,18 @@ impl MonoNode {
         self.instances.get_mut(&instance).expect("just inserted")
     }
 
-    /// Writes `instance`'s vote record to stable storage, atomically
-    /// with the vote message of the enclosing handler.
-    fn persist_vote(
-        &self,
-        ctx: &mut NodeCtx<'_>,
-        instance: u64,
-        round: u32,
-        ts: u32,
-        value: &Batch,
-    ) {
-        if cfg!(debug_assertions) && self.cfg.skip_vote_persist {
-            // Injected fault (fuzz-minimizer acceptance suite): the
-            // vote is acked but never reaches stable storage, so a
-            // crash-restart forgets its lock.
-            return;
-        }
-        let rec = VoteRecord {
-            round,
-            ts,
-            value: value.clone(),
-        };
-        ctx.persist(vote_key(instance), encode(&rec));
-    }
-
     fn msg_is_new(&self, id: MsgId) -> bool {
         self.delivered
             .get(&id.sender)
             .is_none_or(|log| log.is_new(id.seq))
     }
 
-    fn coordinator(round: u32, n: usize) -> ProcessId {
-        ProcessId((round as usize % n) as u16)
-    }
-
     /// The coordinator new messages should be routed to right now.
     fn responsible_coordinator(&self, n: usize) -> ProcessId {
         if let Some((k, inst)) = self.instances.iter().next() {
-            return self.coordinator_of(*k, inst.round, n);
+            return self.log.coordinator_of(*k, inst.round, n);
         }
-        let members = self.members_of(self.next_decide, n);
+        let members = self.log.members_of(self.next_decide, n);
         // Bounded by one full rotation: a learner must not spin when
         // every member is transiently suspected.
         let mut r = 0;
@@ -576,7 +385,7 @@ impl MonoNode {
             return None;
         }
         (self.next_decide..self.next_decide + depth as u64)
-            .find(|k| !self.is_decided(*k) && !self.instances.contains_key(k))
+            .find(|k| !self.log.is_decided(*k) && !self.instances.contains_key(k))
     }
 
     /// The pool minus messages already claimed by a live proposal in an
@@ -601,19 +410,6 @@ impl MonoNode {
         )
     }
 
-    fn send(&self, ctx: &mut NodeCtx<'_>, dst: ProcessId, kind: &'static str, msg: &MonoMsg) {
-        ctx.send(dst, kind, encode(msg));
-    }
-
-    fn broadcast(&self, ctx: &mut NodeCtx<'_>, kind: &'static str, msg: &MonoMsg) {
-        let bytes = encode(msg);
-        for dst in ProcessId::all(ctx.n()) {
-            if dst != ctx.pid() {
-                ctx.send(dst, kind, bytes.clone());
-            }
-        }
-    }
-
     /// Hands the pool over to `coord` in a standalone `Forward` (used
     /// when no ack is imminent).
     fn flush_pool_to(&mut self, ctx: &mut NodeCtx<'_>, coord: ProcessId) {
@@ -623,7 +419,7 @@ impl MonoNode {
         let msgs: Vec<AppMsg> = self.pool.values().cloned().collect();
         self.pool.clear();
         ctx.bump("mono.forwards", 1);
-        self.send(ctx, coord, "mono.forward", &MonoMsg::Forward { msgs });
+        ctx.send_msg(coord, "mono.forward", &MonoMsg::Forward { msgs });
     }
 
     /// Drains the pool for an ack/estimate piggyback (optimization O2).
@@ -645,14 +441,14 @@ impl MonoNode {
             let n = ctx.n();
             let me = ctx.pid();
             let now = ctx.now();
-            if !self.can_vote(k, me) {
+            if !self.log.can_vote(k, me) {
                 // Learner (or membership at `k` still behind the config
                 // fence): never propose. Pending messages reach the
                 // members via the forward/diffuse routing instead.
                 ctx.bump("mono.config_fence_drops", 1);
                 return;
             }
-            let members = self.members_of(k, n);
+            let members = self.log.members_of(k, n);
             if members[0] != me {
                 // Instance registered so round rotation can engage; if
                 // its coordinator is already suspected, rotate now. No
@@ -691,9 +487,8 @@ impl MonoNode {
                     ctx.bump("mono.pipelined_proposals", 1);
                 }
                 ctx.trace_span("mono", k, "proposed", 0);
-                self.persist_vote(ctx, k, 0, 1, &batch);
-                self.broadcast(
-                    ctx,
+                self.log.persist_vote(ctx, k, 0, 1, &batch);
+                ctx.broadcast_msg(
                     "mono.proposal",
                     &MonoMsg::Step {
                         decision: None,
@@ -730,11 +525,11 @@ impl MonoNode {
     /// the modular stack gets the same guarantee from its periodic idle
     /// consensus (§3.3's `t`-timeout).
     fn kick_fresh_instance(&mut self, ctx: &mut NodeCtx<'_>) {
-        if !self.instances.is_empty() || self.is_decided(self.next_decide) {
+        if !self.instances.is_empty() || self.log.is_decided(self.next_decide) {
             return;
         }
         let n = ctx.n();
-        if !self.can_vote(self.next_decide, ctx.pid()) {
+        if !self.log.can_vote(self.next_decide, ctx.pid()) {
             // A learner cannot contribute estimates; it waits for the
             // members' decisions instead of joining the instance.
             return;
@@ -742,7 +537,7 @@ impl MonoNode {
         let has_work = !self.pool.is_empty() || !self.own_pending.is_empty();
         let coord0_suspected = self
             .suspected
-            .contains(&self.members_of(self.next_decide, n)[0]);
+            .contains(&self.log.members_of(self.next_decide, n)[0]);
         if !(has_work || coord0_suspected) {
             return;
         }
@@ -756,7 +551,7 @@ impl MonoNode {
                 .or_insert_with(|| Inst::new(now));
         }
         let rotate = self.instances.iter().next().and_then(|(k, inst)| {
-            let c = self.coordinator_of(*k, inst.round, n);
+            let c = self.log.coordinator_of(*k, inst.round, n);
             self.suspected.contains(&c).then_some(*k)
         });
         if let Some(k) = rotate {
@@ -766,7 +561,7 @@ impl MonoNode {
 
     fn check_decide(&mut self, ctx: &mut NodeCtx<'_>, instance: u64) {
         let n = ctx.n();
-        let majority = self.majority_of(instance, n);
+        let majority = self.log.majority_of(instance, n);
         let Some(inst) = self.instances.get(&instance) else {
             return;
         };
@@ -812,9 +607,9 @@ impl MonoNode {
             .open_slot()
             .filter(|k1| {
                 !self.pool.is_empty()
-                    && self.can_vote(*k1, me)
-                    && self.members_of(*k1, n)[0] == me
-                    && self.recovered_votes.get(k1).is_none_or(|r| r.round == 0)
+                    && self.log.can_vote(*k1, me)
+                    && self.log.members_of(*k1, n)[0] == me
+                    && self.log.recovered_vote(*k1).is_none_or(|r| r.round == 0)
             })
             .map(|k1| (k1, self.fresh_pool_batch()))
             .filter(|(_, fresh)| !fresh.is_empty());
@@ -836,7 +631,7 @@ impl MonoNode {
                 // like the standalone path does.
                 ctx.bump("mono.pipelined_proposals", 1);
             }
-            self.persist_vote(ctx, k1, 0, 1, &batch);
+            self.log.persist_vote(ctx, k1, 0, 1, &batch);
             let proposal = Proposal {
                 instance: k1,
                 round: 0,
@@ -844,8 +639,7 @@ impl MonoNode {
             };
             if self.cfg.opts.combine_decision_proposal {
                 ctx.bump("mono.combined_steps", 1);
-                self.broadcast(
-                    ctx,
+                ctx.broadcast_msg(
                     "mono.step",
                     &MonoMsg::Step {
                         decision: Some(decision),
@@ -853,16 +647,14 @@ impl MonoNode {
                     },
                 );
             } else {
-                self.broadcast(
-                    ctx,
+                ctx.broadcast_msg(
                     "mono.decision",
                     &MonoMsg::Step {
                         decision: Some(decision),
                         proposal: None,
                     },
                 );
-                self.broadcast(
-                    ctx,
+                ctx.broadcast_msg(
                     "mono.proposal",
                     &MonoMsg::Step {
                         decision: None,
@@ -872,8 +664,7 @@ impl MonoNode {
             }
             self.check_decide(ctx, k1);
         } else {
-            self.broadcast(
-                ctx,
+            ctx.broadcast_msg(
                 "mono.decision",
                 &MonoMsg::Step {
                     decision: Some(decision),
@@ -888,106 +679,18 @@ impl MonoNode {
         }
     }
 
-    /// Records a decision for in-order application. Keyed on the replay
-    /// log, so a revived node re-buffers the decided prefix learned via
-    /// state transfer even though its voting fence (`decided_log`)
-    /// already covers it.
+    /// Records a decision in the replica log and buffers it for in-order
+    /// application. Keyed on the replay watermark, so a revived node
+    /// re-buffers the decided prefix learned via state transfer even
+    /// though its voting fence already covers it.
     fn record_decision(&mut self, ctx: &mut NodeCtx<'_>, instance: u64, value: Batch) {
-        if !self.replayed.is_new(instance) {
+        if self.log.is_replayed(instance) {
             return;
         }
         ctx.trace_span("mono", instance, "decided", 0);
-        self.replayed.complete(instance);
-        let fence_before = self.decided_log.watermark();
-        self.decided_log.complete(instance);
-        self.persist_fence(ctx, fence_before);
-        self.decisions.insert(instance, value.clone());
-        self.fold.absorb(instance, &value);
-        self.note_reconfigs(ctx, instance, &value);
-        self.maybe_compact(ctx);
-        if self.cfg.snapshot_interval == 0 {
-            // No snapshots: bound the cache by blind eviction (the
-            // pre-compaction behaviour — evicted prefixes become
-            // unservable to joiners).
-            while self.decisions.len() > self.cfg.decision_cache {
-                self.decisions.pop_first();
-            }
-        }
+        self.log.record(ctx, instance, &value);
+        self.repoint_fd(ctx);
         self.decision_buffer.insert(instance, value);
-    }
-
-    /// Persists the voting fence if it advanced past `fence_before` and
-    /// garbage-collects the vote records the advance makes obsolete.
-    fn persist_fence(&mut self, ctx: &mut NodeCtx<'_>, fence_before: u64) {
-        let fence_after = self.decided_log.watermark();
-        if fence_after > fence_before {
-            ctx.persist(STABLE_WATERMARK_KEY, encode(&fence_after));
-            for k in fence_before..fence_after {
-                ctx.unpersist(vote_key(k));
-            }
-        }
-    }
-
-    /// Materializes a snapshot when the fold ran `snapshot_interval`
-    /// instances past the previous one — or early, whenever the decision
-    /// cache would otherwise have to evict an uncompacted decision
-    /// (compaction replaces eviction, so every instance a joiner may
-    /// miss is servable from either the log tail or the snapshot).
-    fn maybe_compact(&mut self, ctx: &mut NodeCtx<'_>) {
-        let interval = self.cfg.snapshot_interval;
-        if interval == 0 {
-            return;
-        }
-        let folded = self.fold.next_instance();
-        let base = self.snapshot.as_ref().map_or(0, |s| s.last_included + 1);
-        let overflow = self.decisions.len() > self.cfg.decision_cache;
-        if folded < base + interval && !(overflow && folded > base) {
-            return;
-        }
-        let Some(mut snap) = self.fold.snapshot() else {
-            return;
-        };
-        if let Some(t) = &self.timeline {
-            // The snapshot carries the config under which it was cut, so
-            // a joiner installing it reconstructs the same timeline.
-            snap.reconfigs = t.reconfigs();
-        }
-        ctx.bump("mono.snapshots", 1);
-        ctx.trace_span("mono", snap.last_included, "snapshot_offer", 0);
-        self.set_snapshot(ctx, snap, false);
-    }
-
-    /// Adopts `snap` as this node's serving snapshot: persists it,
-    /// evicts the oldest *compacted* decisions down to the cache bound,
-    /// and reports the stamp to the harness.
-    fn set_snapshot(&mut self, ctx: &mut NodeCtx<'_>, snap: Snapshot, installed: bool) {
-        let bytes = encode(&snap);
-        // Durability is not free: materializing charges the encode
-        // cost, installing charges decode + restore + re-encode for
-        // serving — both proportional to the snapshot's encoded size
-        // (zero under the default calibration; see docs/COST_MODEL.md).
-        let cost = if installed {
-            ctx.costs().snapshot_install_cost(bytes.len())
-        } else {
-            ctx.costs().snapshot_encode_cost(bytes.len())
-        };
-        ctx.charge_durability(cost);
-        ctx.persist(STABLE_SNAPSHOT_KEY, bytes.clone());
-        // Only snapshot-covered entries are evicted, and only while the
-        // cache overflows — the recent log tail stays as deep as
-        // `decision_cache` allows, so small gaps are still served as
-        // cheap replies and the snapshot path covers the deep ones.
-        while self.decisions.len() > self.cfg.decision_cache {
-            match self.decisions.first_key_value() {
-                Some((&k, _)) if k <= snap.last_included => {
-                    self.decisions.pop_first();
-                }
-                _ => break, // uncompacted entries are never dropped
-            }
-        }
-        ctx.note_snapshot(stamp_of(&snap, installed));
-        self.snapshot_bytes = bytes;
-        self.snapshot = Some(snap);
     }
 
     fn apply_decisions(&mut self, ctx: &mut NodeCtx<'_>) {
@@ -1053,18 +756,17 @@ impl MonoNode {
         // Keyed on the replay log (not the voting fence) so a revived
         // node still absorbs decisions for instances it voted in before
         // crashing.
-        if !self.replayed.is_new(dec.instance) {
+        if self.log.is_replayed(dec.instance) {
             return;
         }
         // O3 disabled: emulate the reliable-broadcast relay pattern for
         // decisions (first receipt at a relay re-broadcasts).
         if !self.cfg.opts.implicit_decision_acks {
             let n = ctx.n();
-            let origin = self.coordinator_of(dec.instance, dec.round, n);
-            if fortika_relay_set(origin, n).any(|p| p == ctx.pid()) {
+            let origin = self.log.coordinator_of(dec.instance, dec.round, n);
+            if relay_set(origin, n).any(|p| p == ctx.pid()) {
                 ctx.bump("mono.decision_relays", 1);
-                self.broadcast(
-                    ctx,
+                ctx.broadcast_msg(
                     "mono.decision_relay",
                     &MonoMsg::Step {
                         decision: Some(dec.clone()),
@@ -1089,11 +791,11 @@ impl MonoNode {
                 // per-peer rate limit keeps the batch's several replies
                 // from each re-requesting the same range.
                 let now = ctx.now();
-                if self.highest_seen_instance > self.expected_frontier()
-                    && !self.is_decided(self.next_decide)
+                if self.highest_seen() > self.expected_frontier()
+                    && !self.log.is_decided(self.next_decide)
                     && self.gap_limiter.allow(from, now, VDur::millis(5))
                 {
-                    let hi = self.highest_seen_instance;
+                    let hi = self.highest_seen();
                     self.request_gap_batch(ctx, from, hi);
                 }
             }
@@ -1116,11 +818,18 @@ impl MonoNode {
                         let req = MonoMsg::DecisionRequest {
                             instance: dec.instance,
                         };
-                        self.send(ctx, from, "mono.decision_request", &req);
+                        ctx.send_msg(from, "mono.decision_request", &req);
                     }
                 }
             }
         }
+    }
+
+    /// Highest instance seen in any peer message or advertised as a
+    /// transfer frontier — when it runs ahead of `next_decide`, decisions
+    /// were missed (partition, loss) and gap recovery engages.
+    fn highest_seen(&self) -> u64 {
+        self.highest_seen_instance.max(self.log.rejoin_target())
     }
 
     /// Highest instance that can legitimately be in flight while our
@@ -1133,7 +842,7 @@ impl MonoNode {
 
     fn maybe_request_gap(&mut self, ctx: &mut NodeCtx<'_>, from: ProcessId, seen_instance: u64) {
         self.highest_seen_instance = self.highest_seen_instance.max(seen_instance);
-        if seen_instance <= self.expected_frontier() || self.is_decided(self.next_decide) {
+        if seen_instance <= self.expected_frontier() || self.log.is_decided(self.next_decide) {
             return;
         }
         // Rate limited per peer: throttling catch-up toward one lagging
@@ -1151,11 +860,11 @@ impl MonoNode {
         const MAX_BATCH: u64 = 8;
         let hi = seen_instance.min(self.next_decide + MAX_BATCH);
         for instance in self.next_decide..hi {
-            if !self.is_decided(instance) {
+            if !self.log.is_decided(instance) {
                 ctx.bump("mono.gap_requests", 1);
                 ctx.trace_span("mono", instance, "gap_pull", u64::from(from.0));
                 let req = MonoMsg::DecisionRequest { instance };
-                self.send(ctx, from, "mono.decision_request", &req);
+                ctx.send_msg(from, "mono.decision_request", &req);
             }
         }
     }
@@ -1165,20 +874,20 @@ impl MonoNode {
         // instance is certain: behind the config fence the rotation is
         // still provisional, and rejecting would drop a legitimate
         // proposal from a configuration we have not learned yet.
-        let certain = self.config_certain(p.instance);
-        if certain && self.coordinator_of(p.instance, p.round, ctx.n()) != from {
+        let certain = self.log.config_certain(p.instance);
+        if certain && self.log.coordinator_of(p.instance, p.round, ctx.n()) != from {
             ctx.bump("mono.bogus_proposals", 1);
             return; // only the round's coordinator may propose
         }
         self.maybe_request_gap(ctx, from, p.instance);
-        if self.is_decided(p.instance) {
-            if let Some(v) = self.decisions.get(&p.instance) {
+        if self.log.is_decided(p.instance) {
+            if let Some(v) = self.log.decision(p.instance) {
                 let msg = decision_full(p.instance, p.round, v.clone());
-                self.send(ctx, from, "mono.decision_full", &msg);
+                ctx.send_msg(from, "mono.decision_full", &msg);
             }
             return;
         }
-        let votable = certain && self.can_vote(p.instance, ctx.pid());
+        let votable = certain && self.log.can_vote(p.instance, ctx.pid());
         let now = ctx.now();
         let inst = self.inst_entry(p.instance, now);
         if p.round < inst.round {
@@ -1198,7 +907,8 @@ impl MonoNode {
             inst.ts = p.round + 1;
             // The vote is made durable atomically with the ack so a
             // future incarnation of this process honours the lock.
-            self.persist_vote(ctx, p.instance, p.round, p.round + 1, &p.value);
+            self.log
+                .persist_vote(ctx, p.instance, p.round, p.round + 1, &p.value);
             ctx.trace_span("mono", p.instance, "voted", u64::from(p.round));
             let msgs = if self.cfg.opts.piggyback_on_acks {
                 self.drain_pool()
@@ -1210,7 +920,7 @@ impl MonoNode {
                 round: p.round,
                 msgs,
             };
-            self.send(ctx, from, "mono.ack", &ack);
+            ctx.send_msg(from, "mono.ack", &ack);
         } else {
             ctx.bump("mono.config_fence_drops", 1);
         }
@@ -1233,7 +943,7 @@ impl MonoNode {
                 self.pool.insert(m.id, m);
             }
         }
-        if self.is_decided(instance) {
+        if self.log.is_decided(instance) {
             self.try_start_instance(ctx);
             return;
         }
@@ -1274,17 +984,17 @@ impl MonoNode {
             }
         }
         self.maybe_request_gap(ctx, from, instance);
-        if self.is_decided(instance) {
-            if let Some(v) = self.decisions.get(&instance) {
+        if self.log.is_decided(instance) {
+            if let Some(v) = self.log.decision(instance) {
                 let msg = decision_full(instance, round, v.clone());
-                self.send(ctx, from, "mono.decision_full", &msg);
+                ctx.send_msg(from, "mono.decision_full", &msg);
             }
             self.try_start_instance(ctx);
             return;
         }
         let n = ctx.n();
         let me = ctx.pid();
-        if self.coordinator_of(instance, round, n) != me {
+        if self.log.coordinator_of(instance, round, n) != me {
             return;
         }
         let now = ctx.now();
@@ -1319,10 +1029,10 @@ impl MonoNode {
     fn try_propose_from_estimates(&mut self, ctx: &mut NodeCtx<'_>, instance: u64) {
         let n = ctx.n();
         let me = ctx.pid();
-        if !self.can_vote(instance, me) {
+        if !self.log.can_vote(instance, me) {
             return;
         }
-        let members = self.members_of(instance, n);
+        let members = self.log.members_of(instance, n);
         let majority = members.len() / 2 + 1;
         let Some(inst) = self.instances.get_mut(&instance) else {
             return;
@@ -1370,9 +1080,9 @@ impl MonoNode {
         ctx.bump("mono.proposals", 1);
         ctx.trace_span("mono", instance, "proposed", u64::from(round));
         // Coordinator self-ack: durable before the proposal leaves.
-        self.persist_vote(ctx, instance, round, round + 1, &value);
-        self.broadcast(
-            ctx,
+        self.log
+            .persist_vote(ctx, instance, round, round + 1, &value);
+        ctx.broadcast_msg(
             "mono.proposal",
             &MonoMsg::Step {
                 decision: None,
@@ -1390,9 +1100,9 @@ impl MonoNode {
         let n = ctx.n();
         let me = ctx.pid();
         let now = ctx.now();
-        let members = self.members_of(instance, n);
+        let members = self.log.members_of(instance, n);
         let coord_of = |round: u32| members[round as usize % members.len()];
-        let votable = self.can_vote(instance, me);
+        let votable = self.log.can_vote(instance, me);
         let Some(inst) = self.instances.get_mut(&instance) else {
             return;
         };
@@ -1437,8 +1147,7 @@ impl MonoNode {
                 .is_some_and(|i| i.proposal_sent_round != Some(round));
             if short {
                 ctx.bump("mono.estimate_requests", 1);
-                self.broadcast(
-                    ctx,
+                ctx.broadcast_msg(
                     "mono.estimate_request",
                     &MonoMsg::EstimateRequest { instance, round },
                 );
@@ -1454,11 +1163,11 @@ impl MonoNode {
     /// piggybacked on the estimate sent to the new coordinator").
     fn send_estimate(&mut self, ctx: &mut NodeCtx<'_>, instance: u64, round: u32) {
         let n = ctx.n();
-        let coord = self.coordinator_of(instance, round, n);
+        let coord = self.log.coordinator_of(instance, round, n);
         if coord == ctx.pid() {
             return;
         }
-        if !self.can_vote(instance, ctx.pid()) {
+        if !self.log.can_vote(instance, ctx.pid()) {
             ctx.bump("mono.config_fence_drops", 1);
             return;
         }
@@ -1485,7 +1194,7 @@ impl MonoNode {
             value: estimate,
             msgs,
         };
-        self.send(ctx, coord, "mono.estimate", &msg);
+        ctx.send_msg(coord, "mono.estimate", &msg);
     }
 
     fn process_fd_events(&mut self, ctx: &mut NodeCtx<'_>) {
@@ -1505,7 +1214,7 @@ impl MonoNode {
                     let affected: Vec<u64> = self
                         .instances
                         .iter()
-                        .filter(|(k, inst)| self.coordinator_of(**k, inst.round, n) == *p)
+                        .filter(|(k, inst)| self.log.coordinator_of(**k, inst.round, n) == *p)
                         .map(|(k, _)| *k)
                         .collect();
                     for k in affected {
@@ -1526,165 +1235,20 @@ impl MonoNode {
         self.fd_scratch.clear();
     }
 
-    /// Broadcasts the rejoin announcement: "my applied prefix ends at
-    /// `watermark`" (a freshly revived node says instance 0).
-    fn announce_join(&mut self, ctx: &mut NodeCtx<'_>) {
-        self.last_join = ctx.now();
-        ctx.bump("mono.join_requests", 1);
-        let wm = self.replayed.watermark();
-        self.broadcast(
-            ctx,
-            "mono.join_request",
-            &MonoMsg::JoinRequest { watermark: wm },
-        );
-    }
-
-    /// Serves a peer's rejoin announcement. A gap the decision log
-    /// still covers is served as a bulk [`MonoMsg::StateTransfer`] of
-    /// decided values; a gap whose head was compacted away falls back
-    /// to a chunked [`MonoMsg::SnapshotTransfer`] — the log there is
-    /// gone, the snapshot replaces it.
-    ///
-    /// With snapshotting disabled (`snapshot_interval == 0`) the old
-    /// limit applies: once a run outgrows `decision_cache`, the evicted
-    /// prefix is unservable and a joiner advertising instance 0 stalls
-    /// (`mono.join_unservable` counts this).
-    fn serve_join(&mut self, ctx: &mut NodeCtx<'_>, from: ProcessId, watermark: u64) {
-        let frontier = self.replayed.watermark();
-        if frontier <= watermark {
-            return;
-        }
-        // The cheap path first: while the decision log still covers the
-        // head of the gap, a bulk value transfer beats re-shipping the
-        // whole snapshot (the log tail stays `decision_cache` deep).
-        let mut values = Vec::new();
-        for instance in watermark..frontier.min(watermark + MAX_TRANSFER) {
-            match self.decisions.get(&instance) {
-                Some(v) => values.push(v.clone()),
-                None => break, // evicted: cannot serve a gapless prefix
-            }
-        }
-        if !values.is_empty() {
-            ctx.bump("mono.state_transfers", 1);
-            let msg = MonoMsg::StateTransfer {
-                from: watermark,
-                values,
-                frontier,
-            };
-            self.send(ctx, from, "mono.state_transfer", &msg);
-            return;
-        }
-        if self
-            .snapshot
-            .as_ref()
-            .is_some_and(|s| watermark <= s.last_included)
-        {
-            // The gap begins inside the compacted prefix: ship the
-            // snapshot (first chunk; the joiner pulls the rest at
-            // round-trip pace), then it rejoins the log at
-            // `last_included + 1`.
-            self.serve_snapshot_chunk(ctx, from, 0);
-            return;
-        }
-        // Not silent: a joiner below our eviction horizon cannot be
-        // helped by this node (only possible with snapshots disabled,
-        // or for a gap above the snapshot with a hole in the local log).
-        ctx.bump("mono.join_unservable", 1);
-    }
-
-    /// Sends one chunk of the serving snapshot to `from`.
-    fn serve_snapshot_chunk(&mut self, ctx: &mut NodeCtx<'_>, from: ProcessId, offset: u32) {
-        let Some(snap) = &self.snapshot else {
-            return;
-        };
-        let Some((total, chunk)) = chunk_of(&self.snapshot_bytes, offset) else {
-            return;
-        };
-        ctx.bump("mono.snapshot_transfers", 1);
-        let msg = MonoMsg::SnapshotTransfer {
-            last_included: snap.last_included,
-            digest: snap.digest,
-            total,
-            offset,
-            chunk,
-            frontier: self.replayed.watermark(),
-        };
-        self.send(ctx, from, "mono.snapshot_transfer", &msg);
-    }
-
-    /// Receiver side: absorbs one snapshot chunk through the shared
-    /// download state machine, pulling the next at round-trip pace; a
-    /// completed download is installed and chased with a `JoinRequest`
-    /// for the remaining log tail.
-    #[allow(clippy::too_many_arguments)]
-    fn absorb_snapshot_chunk(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        from: ProcessId,
-        last_included: u64,
-        digest: u64,
-        total: u32,
-        offset: u32,
-        chunk: Bytes,
-        frontier: u64,
-    ) {
-        self.rejoin_target = self.rejoin_target.max(frontier);
-        self.highest_seen_instance = self.highest_seen_instance.max(frontier);
-        let now = ctx.now();
-        let already_past = self.fold.next_instance() > last_included;
-        match self.download.absorb(
-            from,
-            last_included,
-            digest,
-            total,
-            offset,
-            &chunk,
-            now,
-            JOIN_RETRY,
-            already_past,
-        ) {
-            ChunkOutcome::Pull(offset) => {
-                ctx.bump("mono.snapshot_pulls", 1);
-                let msg = MonoMsg::SnapshotPull {
-                    last_included,
-                    offset,
-                };
-                self.send(ctx, from, "mono.snapshot_pull", &msg);
-            }
-            ChunkOutcome::Complete(snap) => {
-                self.install_snapshot(ctx, *snap);
-                // Chained tail catch-up from the serving peer.
-                self.last_join = now;
-                let wm = self.replayed.watermark();
-                self.send(
-                    ctx,
-                    from,
-                    "mono.join_request",
-                    &MonoMsg::JoinRequest { watermark: wm },
-                );
-            }
-            ChunkOutcome::Ignored => {}
-            ChunkOutcome::Corrupt => ctx.bump("mono.snapshot_garbage", 1),
-        }
-    }
-
-    /// Installs a snapshot: fast-forwards the fold, delivery dedup,
-    /// apply cursor and voting fence to `last_included + 1`, drops state
-    /// the snapshot made moot, and adopts it for serving.
-    fn install_snapshot(&mut self, ctx: &mut NodeCtx<'_>, snap: Snapshot) {
-        if !self.fold.install(&snap) {
-            return; // does not extend past what we already applied
-        }
+    /// Installs a snapshot the log accepted (see
+    /// [`ReplicaLog::install_snapshot`]): fast-forwards the apply cursor, seeds
+    /// duplicate suppression with the compacted prefix's delivered sets
+    /// (compacted messages must never re-deliver), and drops state the
+    /// snapshot made moot.
+    fn apply_snapshot(&mut self, ctx: &mut NodeCtx<'_>, snap: Snapshot) {
         let next = snap.last_included + 1;
-        self.replayed.advance_to(next);
-        let fence_before = self.decided_log.watermark();
-        self.decided_log.advance_to(next);
-        self.persist_fence(ctx, fence_before);
+        if !self.log.install_snapshot(ctx, snap) {
+            return;
+        }
         if next > self.next_decide {
             self.next_decide = next;
         }
-        // Seed duplicate suppression with the compacted prefix's
-        // delivered sets: compacted messages must never re-deliver.
+        let snap = self.log.snapshot().expect("just installed");
         for s in &snap.delivered {
             let log = self.delivered.entry(s.sender).or_default();
             log.advance_to(s.watermark);
@@ -1694,27 +1258,17 @@ impl MonoNode {
         }
         self.decision_buffer = self.decision_buffer.split_off(&next);
         self.instances = self.instances.split_off(&next);
-        self.recovered_votes = self.recovered_votes.split_off(&next);
-        // Adopt the configuration history the snapshot was cut under:
-        // the compacted prefix's reconfig decisions are registered from
-        // the carried history, and pending commands it covers are moot.
-        self.pending_reconfigs = self.pending_reconfigs.split_off(&next);
-        for (d, change) in snap.reconfigs.clone() {
-            self.register_reconfig(ctx, d, change);
-        }
-        self.highest_seen_instance = self.highest_seen_instance.max(snap.last_included);
+        self.repoint_fd(ctx);
+        self.highest_seen_instance = self.highest_seen_instance.max(next - 1);
         // Messages the snapshot already delivered leave the pool; own
         // messages among them release their flow-control slots.
-        let fold = &self.fold;
-        self.pool.retain(|id, _| !fold.is_delivered(*id));
+        let log = &self.log;
+        self.pool.retain(|id, _| !log.is_delivered(*id));
         let own_before = self.own_pending.len();
-        self.own_pending.retain(|id, _| !fold.is_delivered(*id));
+        self.own_pending.retain(|id, _| !log.is_delivered(*id));
         if self.flow.release(own_before - self.own_pending.len()) {
             ctx.app_ready();
         }
-        ctx.bump("mono.snapshots_installed", 1);
-        ctx.trace_span("mono", snap.last_included, "snapshot_install", 0);
-        self.set_snapshot(ctx, snap, true);
         // Buffered decisions past the snapshot may be contiguous now.
         self.apply_decisions(ctx);
     }
@@ -1727,53 +1281,20 @@ impl MonoNode {
         from: ProcessId,
         first: u64,
         values: Vec<Batch>,
-        frontier: u64,
     ) {
-        self.rejoin_target = self.rejoin_target.max(frontier);
-        self.highest_seen_instance = self.highest_seen_instance.max(frontier);
         for (i, value) in values.into_iter().enumerate() {
             self.record_decision(ctx, first + i as u64, value);
         }
         self.apply_decisions(ctx);
-        let mine = self.replayed.watermark();
-        if mine < self.rejoin_target {
-            // Chained catch-up with a short per-peer rate limit.
-            let now = ctx.now();
-            if self.gap_limiter.allow(from, now, VDur::millis(5)) {
-                self.last_join = now;
-                self.send(
-                    ctx,
-                    from,
-                    "mono.join_request",
-                    &MonoMsg::JoinRequest { watermark: mine },
-                );
-            }
-        } else if self.rejoining && mine >= self.decided_log.watermark() {
-            // Replay reached both the advertised frontier and our own
-            // pre-crash decided fence: rejoin complete.
-            self.rejoining = false;
-            ctx.bump("mono.rejoins_completed", 1);
+        // Chained catch-up with a short per-peer rate limit.
+        if self.log.still_behind(ctx) && self.gap_limiter.allow(from, ctx.now(), VDur::millis(5)) {
+            self.log.pull_from(ctx, from);
         }
     }
 
     fn sweep(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
-        // Rejoin liveness: re-announce until the applied prefix covers
-        // both the persisted decided fence and every frontier a state
-        // transfer advertised (replies can be lost to the same faults
-        // that caused the crash).
-        if self.rejoining {
-            let caught_up = self.replayed.watermark() >= self.decided_log.watermark()
-                && self.replayed.watermark() >= self.rejoin_target;
-            // A healthy snapshot download is progress too: do not spam
-            // re-announcements (and competing offers) while it runs.
-            let downloading = self.download.in_progress(now, JOIN_RETRY);
-            if caught_up {
-                self.rejoining = false;
-            } else if now.since(self.last_join) >= JOIN_RETRY && !downloading {
-                self.announce_join(ctx);
-            }
-        }
+        self.log.retry_rejoin(ctx);
         let stuck: Vec<u64> = self
             .instances
             .iter()
@@ -1786,7 +1307,7 @@ impl MonoNode {
                 inst.round_entered = now;
                 ctx.bump("mono.request_retries", 1);
                 let req = MonoMsg::DecisionRequest { instance: k };
-                self.broadcast(ctx, "mono.decision_request", &req);
+                ctx.broadcast_msg("mono.decision_request", &req);
             } else {
                 ctx.bump("mono.progress_rotations", 1);
                 self.advance_round(ctx, k);
@@ -1800,33 +1321,15 @@ impl MonoNode {
     }
 }
 
-/// Ring-successor relay set (mirrors `fortika-rbcast`'s scheme without
-/// depending on the modular protocol crate).
-fn fortika_relay_set(origin: ProcessId, n: usize) -> impl Iterator<Item = ProcessId> {
-    let count = (n - 1) / 2;
-    (1..=count as u16).map(move |i| ProcessId((origin.0 + i) % n as u16))
-}
-
 impl Node for MonoNode {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        self.timeline_mut(ctx.n());
-        if self.rejoining {
-            // Revived process: restore the persisted snapshot first (the
-            // compacted prefix needs no replay), then advertise the
-            // applied frontier — instance 0 without a snapshot — and let
-            // peers stream the missing prefix back.
-            if let Some(snap) = self.restored.take() {
-                self.install_snapshot(ctx, snap);
-            }
-            // Re-register the persisted configuration history (it may
-            // extend past the restored snapshot's carried prefix;
-            // duplicates are no-ops).
-            let recovered = std::mem::take(&mut self.recovered_reconfigs);
-            for (d, change) in recovered {
-                self.register_reconfig(ctx, d, change);
-            }
-            self.announce_join(ctx);
+        // A revived process restores its persisted snapshot first (the
+        // compacted prefix needs no replay), then rejoins.
+        if let Some(snap) = self.log.start(ctx) {
+            self.apply_snapshot(ctx, snap);
         }
+        self.log.rejoin(ctx);
+        self.repoint_fd(ctx);
         if let Some(interval) = self.fd.tick_interval() {
             ctx.set_timer(interval, TAG_FD);
         }
@@ -1871,40 +1374,27 @@ impl Node for MonoNode {
                 msgs,
             } => self.handle_estimate(ctx, from, instance, round, ts, value, msgs),
             MonoMsg::DecisionRequest { instance } => {
-                if let Some(v) = self.decisions.get(&instance) {
+                if let Some(v) = self.log.decision(instance) {
                     let msg = decision_full(instance, 0, v.clone());
-                    self.send(ctx, from, "mono.decision_full", &msg);
-                } else if self
-                    .snapshot
-                    .as_ref()
-                    .is_some_and(|s| instance <= s.last_included)
-                {
-                    // The requested decision was compacted away: offer
-                    // the snapshot so a *live* lagging process (a healed
-                    // partition minority — not just a restarted joiner)
-                    // can leap past the compaction horizon instead of
-                    // stalling. Rate-limited: one offer answers a whole
-                    // gap-request batch.
-                    let now = ctx.now();
-                    if self.offer_limiter.allow(from, now, OFFER_SPACING) {
-                        self.serve_snapshot_chunk(ctx, from, 0);
-                    }
+                    ctx.send_msg(from, "mono.decision_full", &msg);
+                } else {
+                    self.log.offer_snapshot(ctx, from, instance);
                 }
             }
             MonoMsg::EstimateRequest { instance, round } => {
                 // Sanity: only the round's coordinator may solicit (the
                 // check needs the membership at `instance` to be certain,
                 // like the proposal-sender check).
-                if self.config_certain(instance)
-                    && self.coordinator_of(instance, round, ctx.n()) != from
+                if self.log.config_certain(instance)
+                    && self.log.coordinator_of(instance, round, ctx.n()) != from
                 {
                     ctx.bump("mono.bogus_requests", 1);
                     return;
                 }
-                if self.is_decided(instance) {
-                    if let Some(v) = self.decisions.get(&instance) {
+                if self.log.is_decided(instance) {
+                    if let Some(v) = self.log.decision(instance) {
                         let msg = decision_full(instance, round, v.clone());
-                        self.send(ctx, from, "mono.decision_full", &msg);
+                        ctx.send_msg(from, "mono.decision_full", &msg);
                     }
                     return;
                 }
@@ -1925,52 +1415,17 @@ impl Node for MonoNode {
                 self.fd.on_heartbeat(from, ctx.now(), &mut self.fd_scratch);
                 self.process_fd_events(ctx);
             }
-            MonoMsg::JoinRequest { watermark } => {
-                self.serve_join(ctx, from, watermark);
-            }
-            MonoMsg::StateTransfer {
-                from: first,
-                values,
-                frontier,
-            } => {
-                self.absorb_transfer(ctx, from, first, values, frontier);
-            }
-            MonoMsg::SnapshotTransfer {
-                last_included,
-                digest,
-                total,
-                offset,
-                chunk,
-                frontier,
-            } => {
-                self.absorb_snapshot_chunk(
-                    ctx,
-                    from,
-                    last_included,
-                    digest,
-                    total,
-                    offset,
-                    chunk,
-                    frontier,
-                );
-            }
-            MonoMsg::SnapshotPull {
-                last_included,
-                offset,
-            } => {
-                match &self.snapshot {
-                    // Exact match: serve the requested chunk.
-                    Some(snap) if snap.last_included == last_included => {
-                        self.serve_snapshot_chunk(ctx, from, offset);
-                    }
-                    // We compacted further since the joiner started; a
-                    // fresh offer supersedes the stale download.
-                    Some(snap) if snap.last_included > last_included => {
-                        self.serve_snapshot_chunk(ctx, from, 0);
-                    }
-                    _ => {}
+            MonoMsg::Recovery(m) => match self.log.on_message(ctx, from, m) {
+                Followup::Done => {}
+                Followup::Values { first, values } => {
+                    self.absorb_transfer(ctx, from, first, values);
                 }
-            }
+                Followup::Snapshot(snap) => {
+                    self.apply_snapshot(ctx, *snap);
+                    // Chained tail catch-up from the serving peer.
+                    self.log.request_tail(ctx, from);
+                }
+            },
         }
     }
 
@@ -1988,12 +1443,7 @@ impl Node for MonoNode {
                     };
                     if due {
                         self.last_heartbeat = Some(now);
-                        let hb = encode(&MonoMsg::Heartbeat);
-                        for dst in ProcessId::all(ctx.n()) {
-                            if dst != ctx.pid() {
-                                ctx.send(dst, "fd.heartbeat", hb.clone());
-                            }
-                        }
+                        ctx.broadcast_msg("fd.heartbeat", &MonoMsg::Heartbeat);
                     }
                 }
                 self.fd.tick(ctx.now(), &mut self.fd_scratch);
@@ -2020,7 +1470,7 @@ impl Node for MonoNode {
         ctx.bump("abcast.requests", 1);
         if !self.cfg.opts.piggyback_on_acks {
             // Modular-style dissemination: diffuse to everyone.
-            self.broadcast(ctx, "mono.diffuse", &MonoMsg::Diffuse { msg: m.clone() });
+            ctx.broadcast_msg("mono.diffuse", &MonoMsg::Diffuse { msg: m.clone() });
             self.pool.insert(m.id, m);
             self.try_start_instance(ctx);
         } else {

@@ -20,6 +20,9 @@
 //! * [`snapshot`] — log-compaction snapshots for rejoin catch-up:
 //!   [`Snapshot`], the deterministic [`SnapshotFold`], and the
 //!   [`AppState`] application hook both protocol stacks share.
+//! * [`replica_log`] — the recovery half both protocol stacks share:
+//!   [`ReplicaLog`] keeps the decided log, vote records, snapshots,
+//!   catch-up serving and the configuration timeline.
 //! * [`Counters`] — per-kind traffic accounting.
 //!
 //! # Example: two nodes ping-pong
@@ -68,6 +71,7 @@ pub mod id;
 pub mod membership;
 pub mod message;
 pub mod ratelimit;
+pub mod replica_log;
 pub mod snapshot;
 pub mod watermark;
 pub mod wire;
@@ -83,10 +87,12 @@ pub use fault::{LinkFault, LinkSelector};
 pub use fortika_trace::{Trace, TraceConfig, TraceData, TraceEvent};
 pub use id::{MsgId, ProcessId};
 pub use membership::{
-    parse_reconfig, reconfig_payload, ConfigChange, ConfigStamp, ConfigTimeline, RECONFIG_SEQ_BASE,
+    coordinator, parse_reconfig, reconfig_payload, relay_set, ConfigChange, ConfigStamp,
+    ConfigTimeline, RECONFIG_SEQ_BASE,
 };
 pub use message::{AppMsg, Batch};
 pub use ratelimit::PeerRateLimiter;
+pub use replica_log::{Followup, LogConfig, LogCtx, LogNames, RecoveryMsg, ReplicaLog, VoteRecord};
 pub use snapshot::{
     AppState, AppStateFactory, ChunkOutcome, SenderLog, Snapshot, SnapshotDownload, SnapshotFold,
     SnapshotStamp,

@@ -23,6 +23,8 @@
 //! * [`reconfig_payload`] / [`parse_reconfig`] — the magic-prefixed
 //!   payload encoding that distinguishes reconfiguration commands from
 //!   ordinary application traffic in the decided sequence.
+//! * [`coordinator`] / [`relay_set`] — the static group's coordinator
+//!   rotation and ring relay set, which a trivial timeline reduces to.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -31,6 +33,20 @@ use bytes::Bytes;
 
 use crate::id::ProcessId;
 use crate::wire::{Wire, WireError, WireReader, WireWriter};
+
+/// The static group's coordinator of `round`: processes rotate in
+/// round-robin order, with `p1` coordinating round 0 of every instance
+/// (the property the monolithic stack's optimization O1 builds on).
+pub fn coordinator(round: u32, n: usize) -> ProcessId {
+    ProcessId((round as usize % n) as u16)
+}
+
+/// The deterministic relay set for messages rbcast by `origin`: the
+/// `⌊(n−1)/2⌋` processes that follow the origin in ring order.
+pub fn relay_set(origin: ProcessId, n: usize) -> impl Iterator<Item = ProcessId> {
+    let count = (n - 1) / 2;
+    (1..=count as u16).map(move |i| ProcessId((origin.0 + i) % n as u16))
+}
 
 /// One membership change decided through the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

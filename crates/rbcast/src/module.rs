@@ -29,6 +29,7 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use fortika_framework::{Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
+pub use fortika_net::relay_set;
 use fortika_net::wire::{decode, encode, Wire, WireError, WireReader, WireWriter};
 use fortika_net::{ProcessId, StableStore, TimerId};
 use fortika_sim::VDur;
@@ -43,11 +44,13 @@ use crate::log::OriginLog;
 /// incarnation's broadcasts (its consensus module could then never
 /// disseminate a decision again).
 ///
-/// Namespace `5 << 56`: the store is shared by the whole stack, and
-/// `3 << 56` (this key's original slot) belongs to the consensus
-/// module's persisted snapshot — the collision let frequent seq writes
-/// clobber the snapshot and, worse, a snapshot written last before a
-/// crash made the revived rbcast counter fail to decode and reset.
+/// Namespace `5 << 56` (the namespaces are listed in the
+/// `fortika_net::replica_log` docs): the store is shared by the whole
+/// stack, and `3 << 56` (this key's original slot) belongs to the
+/// replica log's persisted snapshot — the collision let frequent seq
+/// writes clobber the snapshot and, worse, a snapshot written last
+/// before a crash made the revived rbcast counter fail to decode and
+/// reset.
 pub const STABLE_SEQ_KEY: u64 = 5 << 56;
 
 /// Wire demux id of the reliable broadcast module.
@@ -81,13 +84,6 @@ impl Default for RbcastConfig {
             fallback_timeout: VDur::millis(200),
         }
     }
-}
-
-/// The deterministic relay set for messages rbcast by `origin`: the
-/// `⌊(n−1)/2⌋` processes that follow the origin in ring order.
-pub fn relay_set(origin: ProcessId, n: usize) -> impl Iterator<Item = ProcessId> {
-    let count = (n - 1) / 2;
-    (1..=count as u16).map(move |i| ProcessId((origin.0 + i) % n as u16))
 }
 
 /// One reliably-broadcast message on the wire.
