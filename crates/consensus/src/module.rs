@@ -294,7 +294,7 @@ impl ConsensusModule {
             if let Some(rec) = self.log.recovered_vote(instance) {
                 inst.round = rec.round;
                 inst.estimate = Some(rec.value.clone());
-                inst.ts = rec.ts;
+                inst.ts = rec.ts();
             }
             self.instances.insert(instance, inst);
         }
@@ -441,27 +441,25 @@ impl ConsensusModule {
         // process (including future coordinators) on its retransmission
         // timer.
         let value = candidates[0].1 .1.clone();
-        inst.estimate = Some(value.clone());
         // Adoption timestamps are round+1 so that a value locked by an
         // ack quorum always outranks never-adopted initial values (ts 0).
         inst.ts = round + 1;
-        inst.last_proposal = Some((round, value.clone()));
         inst.proposal_sent_round = Some(round);
         inst.acks.clear();
         inst.acks.insert(me);
         ctx.bump("consensus.proposals", 1);
         ctx.trace_span("consensus", instance, "proposed", u64::from(round));
-        // Coordinator self-ack: durable before (atomically with) the
-        // proposal leaves this process.
-        self.log
-            .persist_vote(ctx, instance, round, round + 1, &value);
         self.broadcast_proposal(ctx, instance, round, value);
     }
 
     /// Coordinator-side: broadcasts the proposal for `(instance, round)`
-    /// and re-points the local estimate at the frame the peers received,
-    /// so the decided value is one copy shared by every process rather
-    /// than the buffers the proposal was built from plus the frame.
+    /// and adopts it as the instance's estimate and last proposal as a
+    /// view of the frame the peers received, so the decided value is one
+    /// copy shared by every process rather than the buffers the proposal
+    /// was built from plus the frame. The coordinator's self-ack is
+    /// persisted as a view of that frame too, atomically with the
+    /// proposal leaving this process and before the decision (whose
+    /// fence advance deletes the record) can land.
     fn broadcast_proposal(
         &mut self,
         ctx: &mut FrameworkCtx<'_, '_>,
@@ -475,13 +473,16 @@ impl ConsensusModule {
             value,
         };
         let sent = ctx.broadcast_net("consensus.proposal", &msg);
-        if let (Ok(ConsensusMsg::Propose { value, .. }), Some(inst)) = (
-            decode::<ConsensusMsg>(sent),
-            self.instances.get_mut(&instance),
-        ) {
-            inst.estimate = Some(value.clone());
-            inst.last_proposal = Some((round, value));
-        }
+        let Ok(ConsensusMsg::Propose { value, .. }) = decode::<ConsensusMsg>(sent.clone()) else {
+            unreachable!("a proposal this process just encoded decodes");
+        };
+        self.log.persist_vote(ctx, &sent, instance, round, &value);
+        let inst = self
+            .instances
+            .get_mut(&instance)
+            .expect("the proposer's instance");
+        inst.estimate = Some(value.clone());
+        inst.last_proposal = Some((round, value));
         self.try_conclude(ctx, instance);
     }
 
@@ -568,12 +569,10 @@ impl ConsensusModule {
             // adopt it (ts 1: round 0 + 1).
             let v = inst.estimate.clone().unwrap_or_default();
             inst.ts = 1;
-            inst.last_proposal = Some((0, v.clone()));
             inst.proposal_sent_round = Some(0);
             inst.acks.insert(me);
             ctx.bump("consensus.proposals", 1);
             ctx.trace_span("consensus", instance, "proposed", 0);
-            self.log.persist_vote(ctx, instance, 0, 1, &v);
             self.broadcast_proposal(ctx, instance, 0, v);
         } else if members[inst.round as usize % members.len()] == me {
             // We are (now) the coordinator of a later round and were only
@@ -586,10 +585,13 @@ impl ConsensusModule {
         }
     }
 
+    /// Acceptor-side: `frame` is the received `Propose` message, of
+    /// which the vote record is a view.
     fn on_net_propose(
         &mut self,
         ctx: &mut FrameworkCtx<'_, '_>,
         from: ProcessId,
+        frame: &Bytes,
         instance: u64,
         round: u32,
         value: Batch,
@@ -631,8 +633,7 @@ impl ConsensusModule {
             // future incarnation of this process honours the lock.
             inst.estimate = Some(value.clone());
             inst.ts = round + 1;
-            self.log
-                .persist_vote(ctx, instance, round, round + 1, &value);
+            self.log.persist_vote(ctx, frame, instance, round, &value);
             ctx.trace_span("consensus", instance, "voted", u64::from(round));
             let ack = ConsensusMsg::Ack { instance, round };
             ctx.send_net(from, "consensus.ack", &ack);
@@ -888,7 +889,7 @@ impl Microprotocol for ConsensusModule {
     }
 
     fn on_net(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, bytes: Bytes) {
-        let msg = match decode::<ConsensusMsg>(bytes) {
+        let msg = match decode::<ConsensusMsg>(bytes.clone()) {
             Ok(m) => m,
             Err(_) => {
                 ctx.bump("consensus.garbage", 1);
@@ -900,7 +901,7 @@ impl Microprotocol for ConsensusModule {
                 instance,
                 round,
                 value,
-            } => self.on_net_propose(ctx, from, instance, round, value),
+            } => self.on_net_propose(ctx, from, &bytes, instance, round, value),
             ConsensusMsg::Estimate {
                 instance,
                 round,

@@ -284,13 +284,21 @@ mod tests {
     #[test]
     fn vote_record_round_trips() {
         let rec = VoteRecord {
+            instance: 8,
             round: 4,
-            ts: 5,
             value: batch(),
         };
         let bytes = encode(&rec);
         assert_eq!(bytes.len(), rec.encoded_len());
-        assert_eq!(decode::<VoteRecord>(bytes).unwrap(), rec);
+        assert_eq!(decode::<VoteRecord>(bytes.clone()).unwrap(), rec);
+        // The record is the tail of the proposal it votes on, which the
+        // replica log persists as a view.
+        let proposal = encode(&ConsensusMsg::Propose {
+            instance: 8,
+            round: 4,
+            value: batch(),
+        });
+        assert!(proposal.ends_with(&bytes));
     }
 
     #[test]

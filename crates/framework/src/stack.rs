@@ -219,8 +219,8 @@ impl LogCtx for FrameworkCtx<'_, '_> {
     fn send_msg(&mut self, to: ProcessId, kind: &'static str, msg: &impl Wire) {
         self.send_net(to, kind, msg);
     }
-    fn broadcast_msg(&mut self, kind: &'static str, msg: &impl Wire) {
-        self.broadcast_net(kind, msg);
+    fn broadcast_msg(&mut self, kind: &'static str, msg: &impl Wire) -> Bytes {
+        self.broadcast_net(kind, msg)
     }
     fn persist(&mut self, key: u64, value: Bytes) {
         self.node.persist(key, value);
@@ -315,7 +315,7 @@ impl CompositeStack {
                 continue;
             };
             // Indices are stable: modules are never added after build.
-            for idx in subscribers.clone() {
+            for &idx in subscribers {
                 node.charge_dispatch();
                 let module_id = self.modules[idx].module_id();
                 let mut ctx = FrameworkCtx {

@@ -369,13 +369,32 @@ mod tests {
         assert_eq!(bytes.len(), p.encoded_len());
         assert_eq!(decode::<Proposal>(bytes).unwrap(), p);
         let rec = VoteRecord {
+            instance: 7,
             round: 3,
-            ts: 4,
             value: batch(),
         };
         let bytes = encode(&rec);
         assert_eq!(bytes.len(), rec.encoded_len());
-        assert_eq!(decode::<VoteRecord>(bytes).unwrap(), rec);
+        assert_eq!(decode::<VoteRecord>(bytes.clone()).unwrap(), rec);
+        // The record is the tail of every step proposing its vote,
+        // standalone or behind a decision (O1); the replica log persists
+        // it as a view of that frame.
+        let tag = Decision {
+            instance: 6,
+            round: 0,
+            full: None,
+        };
+        for decision in [None, Some(tag)] {
+            let step = encode(&MonoMsg::Step {
+                decision,
+                proposal: Some(Proposal {
+                    instance: 7,
+                    round: 3,
+                    value: batch(),
+                }),
+            });
+            assert!(step.ends_with(&bytes));
+        }
     }
 
     #[test]

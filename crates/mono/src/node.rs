@@ -337,7 +337,7 @@ impl MonoNode {
             if let Some(rec) = self.log.recovered_vote(instance) {
                 inst.round = rec.round;
                 inst.estimate = Some(rec.value.clone());
-                inst.ts = rec.ts;
+                inst.ts = rec.ts();
             }
             self.instances.insert(instance, inst);
         }
@@ -477,9 +477,7 @@ impl MonoNode {
                 let locked = inst.estimate.clone();
                 let batch = locked.unwrap_or(fresh);
                 let inst = self.instances.get_mut(&k).expect("created above");
-                inst.estimate = Some(batch.clone());
                 inst.ts = 1;
-                inst.last_proposal = Some((0, batch.clone()));
                 inst.proposal_sent_round = Some(0);
                 inst.acks.insert(me);
                 ctx.bump("mono.proposals", 1);
@@ -487,18 +485,12 @@ impl MonoNode {
                     ctx.bump("mono.pipelined_proposals", 1);
                 }
                 ctx.trace_span("mono", k, "proposed", 0);
-                self.log.persist_vote(ctx, k, 0, 1, &batch);
-                ctx.broadcast_msg(
-                    "mono.proposal",
-                    &MonoMsg::Step {
-                        decision: None,
-                        proposal: Some(Proposal {
-                            instance: k,
-                            round: 0,
-                            value: batch,
-                        }),
-                    },
-                );
+                let proposal = Proposal {
+                    instance: k,
+                    round: 0,
+                    value: batch,
+                };
+                self.broadcast_proposal(ctx, "mono.proposal", None, proposal);
                 self.check_decide(ctx, k);
                 // Loop: with depth > 1 another slot may still be open.
             } else {
@@ -618,9 +610,7 @@ impl MonoNode {
             let locked = self.inst_entry(k1, now).estimate.clone();
             let batch = locked.unwrap_or(fresh);
             let inst = self.instances.get_mut(&k1).expect("created above");
-            inst.estimate = Some(batch.clone());
             inst.ts = 1;
-            inst.last_proposal = Some((0, batch.clone()));
             inst.proposal_sent_round = Some(0);
             inst.acks.insert(me);
             ctx.bump("mono.proposals", 1);
@@ -631,7 +621,6 @@ impl MonoNode {
                 // like the standalone path does.
                 ctx.bump("mono.pipelined_proposals", 1);
             }
-            self.log.persist_vote(ctx, k1, 0, 1, &batch);
             let proposal = Proposal {
                 instance: k1,
                 round: 0,
@@ -639,13 +628,7 @@ impl MonoNode {
             };
             if self.cfg.opts.combine_decision_proposal {
                 ctx.bump("mono.combined_steps", 1);
-                ctx.broadcast_msg(
-                    "mono.step",
-                    &MonoMsg::Step {
-                        decision: Some(decision),
-                        proposal: Some(proposal),
-                    },
-                );
+                self.broadcast_proposal(ctx, "mono.step", Some(decision), proposal);
             } else {
                 ctx.broadcast_msg(
                     "mono.decision",
@@ -654,13 +637,7 @@ impl MonoNode {
                         proposal: None,
                     },
                 );
-                ctx.broadcast_msg(
-                    "mono.proposal",
-                    &MonoMsg::Step {
-                        decision: None,
-                        proposal: Some(proposal),
-                    },
-                );
+                self.broadcast_proposal(ctx, "mono.proposal", None, proposal);
             }
             self.check_decide(ctx, k1);
         } else {
@@ -869,7 +846,15 @@ impl MonoNode {
         }
     }
 
-    fn handle_proposal(&mut self, ctx: &mut NodeCtx<'_>, from: ProcessId, p: Proposal) {
+    /// Acceptor-side: `frame` is the received `Step`, whose tail is `p`
+    /// and of which the vote record is a view.
+    fn handle_proposal(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        from: ProcessId,
+        frame: &Bytes,
+        p: Proposal,
+    ) {
         // The sender check only applies once the membership at this
         // instance is certain: behind the config fence the rotation is
         // still provisional, and rejecting would drop a legitimate
@@ -908,7 +893,7 @@ impl MonoNode {
             // The vote is made durable atomically with the ack so a
             // future incarnation of this process honours the lock.
             self.log
-                .persist_vote(ctx, p.instance, p.round, p.round + 1, &p.value);
+                .persist_vote(ctx, frame, p.instance, p.round, &p.value);
             ctx.trace_span("mono", p.instance, "voted", u64::from(p.round));
             let msgs = if self.cfg.opts.piggyback_on_acks {
                 self.drain_pool()
@@ -1071,29 +1056,56 @@ impl MonoNode {
         } else {
             candidates[0].1 .1.clone()
         };
-        inst.estimate = Some(value.clone());
         inst.ts = round + 1;
-        inst.last_proposal = Some((round, value.clone()));
         inst.proposal_sent_round = Some(round);
         inst.acks.clear();
         inst.acks.insert(me);
         ctx.bump("mono.proposals", 1);
         ctx.trace_span("mono", instance, "proposed", u64::from(round));
-        // Coordinator self-ack: durable before the proposal leaves.
-        self.log
-            .persist_vote(ctx, instance, round, round + 1, &value);
-        ctx.broadcast_msg(
-            "mono.proposal",
-            &MonoMsg::Step {
-                decision: None,
-                proposal: Some(Proposal {
-                    instance,
-                    round,
-                    value,
-                }),
-            },
-        );
+        let proposal = Proposal {
+            instance,
+            round,
+            value,
+        };
+        self.broadcast_proposal(ctx, "mono.proposal", None, proposal);
         self.check_decide(ctx, instance);
+    }
+
+    /// Coordinator-side: broadcasts `proposal` as a `Step`, behind
+    /// `decision` when O1 combines the two, and adopts the proposal as
+    /// the instance's estimate and last proposal as a view of the frame
+    /// the peers received, so the decided value is one copy shared by
+    /// every process rather than the pool buffers the proposal was built
+    /// from plus the frame. The coordinator's self-ack is persisted as a
+    /// view of that frame too, atomically with the proposal leaving this
+    /// process and before the decision (whose fence advance deletes the
+    /// record) can land.
+    fn broadcast_proposal(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        kind: &'static str,
+        decision: Option<Decision>,
+        proposal: Proposal,
+    ) {
+        let (instance, round) = (proposal.instance, proposal.round);
+        let step = MonoMsg::Step {
+            decision,
+            proposal: Some(proposal),
+        };
+        let sent = ctx.broadcast_msg(kind, &step);
+        let Ok(MonoMsg::Step {
+            proposal: Some(p), ..
+        }) = decode::<MonoMsg>(sent.clone())
+        else {
+            unreachable!("a step this process just encoded decodes");
+        };
+        self.log.persist_vote(ctx, &sent, instance, round, &p.value);
+        let inst = self
+            .instances
+            .get_mut(&instance)
+            .expect("the proposer's instance");
+        inst.estimate = Some(p.value.clone());
+        inst.last_proposal = Some((round, p.value));
     }
 
     fn advance_round(&mut self, ctx: &mut NodeCtx<'_>, instance: u64) {
@@ -1337,7 +1349,7 @@ impl Node for MonoNode {
     }
 
     fn on_message(&mut self, ctx: &mut NodeCtx<'_>, from: ProcessId, bytes: Bytes) {
-        let msg = match decode::<MonoMsg>(bytes) {
+        let msg = match decode::<MonoMsg>(bytes.clone()) {
             Ok(m) => m,
             Err(_) => {
                 ctx.bump("mono.garbage", 1);
@@ -1351,7 +1363,7 @@ impl Node for MonoNode {
                     self.handle_decision(ctx, from, d, !combined);
                 }
                 if let Some(p) = proposal {
-                    self.handle_proposal(ctx, from, p);
+                    self.handle_proposal(ctx, from, &bytes, p);
                 }
             }
             MonoMsg::AckDiff {

@@ -9,11 +9,13 @@
 //!   in), the **replay watermark** (decisions handed to the stack in this
 //!   incarnation) and the **decision cache** it serves peers from;
 //! * durable [`VoteRecord`]s: every vote is made durable atomically with
-//!   the vote message, and [`ReplicaLog::resume`] replays the records so
-//!   a revived process re-enters undecided instances with its locked
-//!   `(round, estimate, ts)` intact. Without this the quorum intersection
-//!   at the heart of Chandra–Toueg safety breaks. The fence is persisted
-//!   too, and the vote records below it are dropped;
+//!   the vote message, as a view of the proposal frame it votes on (so a
+//!   process holds one copy of each batch, as Ring Paxos acceptors do),
+//!   and [`ReplicaLog::resume`] replays the records so a revived process
+//!   re-enters undecided instances with its locked `(round, estimate,
+//!   ts)` intact. Without this the quorum intersection at the heart of
+//!   Chandra–Toueg safety breaks. The fence is persisted too, and the
+//!   vote records below it are dropped;
 //! * the [`SnapshotFold`] of the decided prefix, compacted every
 //!   `snapshot_interval` instances into a persisted [`Snapshot`] — the
 //!   decision cache then only keeps the tail;
@@ -116,8 +118,9 @@ pub trait LogCtx {
     fn costs(&self) -> &CostModel;
     /// Sends `msg` to `to`, tagged `kind` for traffic accounting.
     fn send_msg(&mut self, to: ProcessId, kind: &'static str, msg: &impl Wire);
-    /// Sends `msg` to every other process, in pid order.
-    fn broadcast_msg(&mut self, kind: &'static str, msg: &impl Wire);
+    /// Sends `msg` to every other process, in pid order, and returns
+    /// the encoded message (a view of the buffer every copy shares).
+    fn broadcast_msg(&mut self, kind: &'static str, msg: &impl Wire) -> Bytes;
     /// Writes to the stable store, atomically with the handler.
     fn persist(&mut self, key: u64, value: Bytes);
     /// Deletes a stable-store key.
@@ -147,8 +150,10 @@ impl LogCtx for NodeCtx<'_> {
     fn send_msg(&mut self, to: ProcessId, kind: &'static str, msg: &impl Wire) {
         self.send(to, kind, encode(msg));
     }
-    fn broadcast_msg(&mut self, kind: &'static str, msg: &impl Wire) {
-        self.broadcast(kind, &encode(msg));
+    fn broadcast_msg(&mut self, kind: &'static str, msg: &impl Wire) -> Bytes {
+        let bytes = encode(msg);
+        self.broadcast(kind, &bytes);
+        bytes
     }
     fn persist(&mut self, key: u64, value: Bytes) {
         NodeCtx::persist(self, key, value);
@@ -223,34 +228,48 @@ pub struct LogConfig {
 }
 
 /// The crash-recovery stable record of one consensus instance: the
-/// round this process last voted (acked/adopted) in, the adoption
-/// timestamp of its estimate, and the estimate itself.
+/// instance, the round this process last voted (acked/adopted) in, and
+/// the estimate it locked there.
 ///
 /// Chandra–Toueg safety hinges on a voter carrying its locked
 /// `(estimate, ts)` into every later round and never regressing to a
 /// lower round; a process revived with amnesia would break exactly that
 /// invariant, so this record is written to stable storage atomically
 /// with every vote and replayed into the fresh stack on restart.
+///
+/// The wire layout `[instance u64][round u32][Batch]` is byte for byte
+/// the tail of both stacks' proposal frames, so
+/// [`ReplicaLog::persist_vote`] stores a view of the frame the vote is
+/// made on and never copies the batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VoteRecord {
+    /// The voted instance.
+    pub instance: u64,
     /// Round of the last vote (lower-round proposals are refused).
     pub round: u32,
-    /// Adoption timestamp of `value` (round + 1 at ack time).
-    pub ts: u32,
     /// The locked estimate.
     pub value: Batch,
 }
 
+impl VoteRecord {
+    /// Adoption timestamp of `value`: a vote in `round` adopts it at
+    /// `round + 1`, which ranks a locked value above every initial one
+    /// (ts 0).
+    pub fn ts(&self) -> u32 {
+        self.round + 1
+    }
+}
+
 impl Wire for VoteRecord {
     fn encode(&self, w: &mut WireWriter) {
+        w.put_u64(self.instance);
         w.put_u32(self.round);
-        w.put_u32(self.ts);
         self.value.encode(w);
     }
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
         Ok(VoteRecord {
+            instance: r.get_u64()?,
             round: r.get_u32()?,
-            ts: r.get_u32()?,
             value: Batch::decode(r)?,
         })
     }
@@ -686,14 +705,18 @@ impl<M: Wire + From<RecoveryMsg>> ReplicaLog<M> {
         }
     }
 
-    /// Writes `instance`'s vote record to stable storage, atomically
-    /// with the vote message of the enclosing handler.
+    /// Writes the vote for `value` in `(instance, round)` to stable
+    /// storage, atomically with the vote message of the enclosing
+    /// handler. `frame` is the proposal frame the vote is made on — the
+    /// one received, or the one a coordinator broadcast — whose tail is
+    /// the [`VoteRecord`]; the record is stored as a view of it, so the
+    /// batch is never copied.
     pub fn persist_vote(
         &self,
         ctx: &mut impl LogCtx,
+        frame: &Bytes,
         instance: u64,
         round: u32,
-        ts: u32,
         value: &Batch,
     ) {
         if cfg!(debug_assertions) && self.cfg.skip_vote_persist {
@@ -702,12 +725,19 @@ impl<M: Wire + From<RecoveryMsg>> ReplicaLog<M> {
             // crash-restart forgets its lock.
             return;
         }
-        let rec = VoteRecord {
-            round,
-            ts,
-            value: value.clone(),
-        };
-        ctx.persist(vote_key(instance), encode(&rec));
+        // The instance (u64) and round (u32) precede the batch.
+        let len = 8 + 4 + value.encoded_len();
+        let record = frame.slice(frame.len() - len..);
+        debug_assert_eq!(
+            decode::<VoteRecord>(record.clone()).ok(),
+            Some(VoteRecord {
+                instance,
+                round,
+                value: value.clone(),
+            }),
+            "the frame does not end in the vote being made"
+        );
+        ctx.persist(vote_key(instance), record);
     }
 
     /// Records `value` as the decision of `instance`, unless this

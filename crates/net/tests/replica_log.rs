@@ -88,8 +88,9 @@ impl LogCtx for Ctx {
     fn send_msg(&mut self, to: ProcessId, kind: &'static str, msg: &impl Wire) {
         self.sent.push((to, kind, recovery_of(msg)));
     }
-    fn broadcast_msg(&mut self, kind: &'static str, msg: &impl Wire) {
+    fn broadcast_msg(&mut self, kind: &'static str, msg: &impl Wire) -> Bytes {
         self.broadcasts.push((kind, recovery_of(msg)));
+        encode(msg)
     }
     fn persist(&mut self, key: u64, value: Bytes) {
         self.store.insert(key, value);
@@ -125,6 +126,22 @@ fn batch(k: u64) -> Batch {
         MsgId::new(ProcessId(1), k),
         Bytes::from(vec![k as u8; 32]),
     )])
+}
+
+/// A proposal frame carrying `vote`: a tag byte, then the vote record,
+/// the layout both stacks' proposal messages end in.
+fn proposal_frame(vote: &VoteRecord) -> Bytes {
+    let mut w = WireWriter::with_capacity(1 + vote.encoded_len());
+    w.put_u8(1);
+    vote.encode(&mut w);
+    w.finish()
+}
+
+/// Persists `vote` the way a stack does: as a view of its frame.
+fn persist(log: &ReplicaLog<Msg>, ctx: &mut Ctx, vote: &VoteRecord) -> Bytes {
+    let frame = proposal_frame(vote);
+    log.persist_vote(ctx, &frame, vote.instance, vote.round, &vote.value);
+    frame
 }
 
 /// A log that recorded instances `0..count`.
@@ -233,7 +250,12 @@ fn install_snapshot_advances_the_fence_and_unpersists_the_votes_below_it() {
     let mut ctx = Ctx::default();
     let mut log: ReplicaLog<Msg> = ReplicaLog::new(&NAMES, config(10, 1024));
     for k in [0, 4, 9, 12] {
-        log.persist_vote(&mut ctx, k, 1, 2, &batch(k));
+        let vote = VoteRecord {
+            instance: k,
+            round: 1,
+            value: batch(k),
+        };
+        persist(&log, &mut ctx, &vote);
     }
     let vote_keys = |ctx: &Ctx| -> Vec<u64> {
         let votes = ctx.store.keys().filter(|&&key| key >> 56 == 1);
@@ -260,11 +282,11 @@ fn resume_reads_back_all_four_key_kinds() {
     let mut ctx = Ctx::default();
     let mut log: ReplicaLog<Msg> = ReplicaLog::new(&NAMES, config(8, 1024));
     let vote = VoteRecord {
+        instance: 25,
         round: 2,
-        ts: 3,
         value: batch(25),
     };
-    log.persist_vote(&mut ctx, 25, vote.round, vote.ts, &vote.value);
+    persist(&log, &mut ctx, &vote);
     for k in 0..12 {
         let value = if k == 2 {
             let add = reconfig_payload(ConfigChange::Add(ProcessId(3)));
@@ -301,4 +323,26 @@ fn resume_reads_back_all_four_key_kinds() {
     );
     assert_eq!(ctx.broadcasts, vec![("test.join_request", join(0))]);
     assert_eq!(ctx.count("test.join_requests"), 1);
+}
+
+#[test]
+fn a_vote_persisted_as_a_frame_tail_resumes_with_its_lock() {
+    let mut ctx = Ctx::default();
+    let log: ReplicaLog<Msg> = ReplicaLog::new(&NAMES, config(8, 1024));
+    let vote = VoteRecord {
+        instance: 3,
+        round: 4,
+        value: batch(3),
+    };
+    let frame = persist(&log, &mut ctx, &vote);
+    // The stored record is the frame minus its tag byte, not a copy.
+    let stored = &ctx.store[&(1 << 56 | 3)];
+    assert_eq!(stored.len(), frame.len() - 1);
+    assert_eq!(stored.as_ptr(), frame[1..].as_ptr(), "the record is a copy");
+
+    let revived: ReplicaLog<Msg> = ReplicaLog::resume(&NAMES, config(8, 1024), &ctx.store);
+    let rec = revived.recovered_vote(3).expect("the vote record reloads");
+    assert_eq!(rec, &vote);
+    assert_eq!(rec.ts(), vote.round + 1);
+    assert_eq!(revived.recovered_vote(4), None);
 }
